@@ -120,21 +120,27 @@ def circle_action(path: CirclePath, alpha: complex, phi: float | None = None) ->
 
 
 def circle_actions_batch(
-    thetas: np.ndarray, r: float, s: float, phi: float = 0.0
+    thetas: np.ndarray, r: float, s, phi: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (path term, total) actions for a (batch, L) array of angles.
 
-    Workhorse for the Monte Carlo estimators; one row per sampled path.
+    Workhorse for the Monte Carlo estimators; one row per sampled path.  s is
+    a scalar, giving totals of shape (batch,), or a 1-D array of radii, giving
+    C-contiguous totals of shape (len(s), batch) whose row i equals the scalar
+    call at s[i] bit for bit: the path terms and the radius-free end factors
+    are computed once and shared by every radius.
     """
     th = np.asarray(thetas)
     if th.ndim != 2:
         raise ValueError("expected a (batch, L) angle array")
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise ValueError("s must be a scalar or a 1-D array of radii")
+    s = s[..., None]  # (1,) broadcasts like a scalar; (k, 1) gives one row per radius
     L = th.shape[1]
     prev = np.roll(th, 1, axis=1)
     path_terms = L * r * r - r * r * np.exp(1j * (prev - th)).sum(axis=1)
-    end_terms = (
-        2.0 * s * s
-        + 2.0 * r * r * np.exp(1j * (th[:, -1] - th[:, 0]))
-        - 2.0 * r * s * (np.exp(-1j * (th[:, 0] - phi)) + np.exp(1j * (th[:, -1] - phi)))
-    )
+    closing = 2.0 * r * r * np.exp(1j * (th[:, -1] - th[:, 0]))
+    ends = np.exp(-1j * (th[:, 0] - phi)) + np.exp(1j * (th[:, -1] - phi))
+    end_terms = 2.0 * s * s + closing - 2.0 * r * s * ends
     return path_terms, path_terms + end_terms

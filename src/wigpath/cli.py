@@ -96,20 +96,20 @@ def _write_rows(path: Path, header: list[str], rows: list[list[str]], fmt: str) 
 
 
 def _profile_evaluator(cfg: RunConfig):
-    """Return (callable r -> (value, stderr, region), method label)."""
+    """Return (callable rs -> [(value, stderr, region), ...], method label)."""
     state, method = cfg.state, cfg.method
     if state == "poisson":
         if method != "exact":
             raise ConfigError("state 'poisson' supports --method exact (its closed form)")
         if cfg.N is None:
             raise ConfigError("state 'poisson' needs --N (mean occupation)")
-        return (lambda r: (wigner_poisson(complex(r), cfg.N), None, "")), "exact"
+        return _per_point(cfg, lambda r: (wigner_poisson(complex(r), cfg.N), None, "")), "exact"
 
     if state == "number":
         if cfg.n is None:
             raise ConfigError("state 'number' needs --n (the level)")
         if method == "exact":
-            return (lambda r: (wigner_number(complex(r), cfg.n), None, "")), "exact"
+            return _per_point(cfg, lambda r: (wigner_number(complex(r), cfg.n), None, "")), "exact"
         if method in ("saddle", "wkb"):
             L = cfg.L if cfg.L is not None else 512
 
@@ -123,7 +123,7 @@ def _profile_evaluator(cfg: RunConfig):
                 except RegionError as exc:
                     return None, None, exc.region
 
-            return eval_asym, method
+            return _per_point(cfg, eval_asym), method
         raise ConfigError("state 'number' supports --method exact, saddle or wkb")
 
     if state == "family":
@@ -131,20 +131,21 @@ def _profile_evaluator(cfg: RunConfig):
             raise ConfigError("state 'family' needs --L and --N")
         params = FamilyParams(cfg.L, cfg.N)
         if method == "spectral":
-            return (lambda r: (wigner_spectral(complex(r), params), None, "")), "spectral"
+            return _per_point(cfg, lambda r: (wigner_spectral(complex(r), params), None, "")), "spectral"
         if method == "quadrature":
             qspec = QuadratureSpec(points_per_dim=cfg.M)
-            return (
-                lambda r: (wigner_quadrature(complex(r), params, qspec).value, None, "")
+            return _per_point(
+                cfg, lambda r: (wigner_quadrature(complex(r), params, qspec).value, None, "")
             ), "quadrature"
         if method == "mc":
             mspec = MonteCarloSpec(
                 cfg.samples, seed=cfg.seed, workers=cfg.workers, batch_size=cfg.batch_size
             )
 
-            def eval_mc(r: float):
-                res = wigner_montecarlo(complex(r), params, mspec)
-                return res.estimate, res.standard_error, ""
+            def eval_mc(rs: np.ndarray):
+                # one pass over the batches serves every radius; --workers splits the batches
+                results = wigner_montecarlo(rs, params, mspec)
+                return [(res.estimate, res.standard_error, "") for res in results]
 
             return eval_mc, "mc"
         raise ConfigError(
@@ -155,19 +156,25 @@ def _profile_evaluator(cfg: RunConfig):
     raise ConfigError(f"unknown state {state!r}; choose poisson, number or family")
 
 
+def _per_point(cfg: RunConfig, one):
+    """Map a per-radius evaluator over the radii, threaded for the pure routes."""
+
+    def evaluate(rs: np.ndarray) -> list:
+        if cfg.workers > 1 and cfg.method in ("quadrature", "spectral", "exact"):
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                return list(pool.map(lambda r: one(float(r)), rs))
+        return [one(float(r)) for r in rs]
+
+    return evaluate
+
+
 def _profile_rows(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
     evaluate, label = _profile_evaluator(cfg)
     rs = np.linspace(cfg.r_min, cfg.r_max, cfg.points)
-
-    def one(r: float) -> list[str]:
-        value, stderr, region = evaluate(float(r))
-        return [_fmt(r), _fmt(value), label, _fmt(stderr), region]
-
-    if cfg.workers > 1 and cfg.method in ("quadrature", "spectral", "exact"):
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(one, rs))
-    else:
-        rows = [one(r) for r in rs]
+    rows = [
+        [_fmt(r), _fmt(value), label, _fmt(stderr), region]
+        for r, (value, stderr, region) in zip(rs, evaluate(rs))
+    ]
     return ["r", "W", "method", "stderr", "region"], rows
 
 

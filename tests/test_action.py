@@ -204,6 +204,25 @@ def test_batch_actions_match_scalar():
         assert path_terms[i] == pytest.approx(path_action(path.vertices()), rel=1e-12)
 
 
+def test_batch_actions_array_s_equals_stacked_scalar_calls():
+    rng = np.random.default_rng(32)
+    r, phi = 1.3, 0.7
+    thetas = rng.uniform(0, 2 * math.pi, size=(301, 5))
+    radii = np.linspace(0.0, 2.9, 7)
+    path_terms, totals = circle_actions_batch(thetas, r, radii, phi)
+    assert totals.shape == (len(radii), len(thetas))
+    assert totals.flags.c_contiguous
+    for i, s in enumerate(radii):
+        ref_path, ref_totals = circle_actions_batch(thetas, r, float(s), phi)
+        assert np.array_equal(path_terms, ref_path)
+        assert np.array_equal(totals[i], ref_totals)
+
+
+def test_batch_actions_reject_2d_radii():
+    with pytest.raises(ValueError):
+        circle_actions_batch(np.zeros((4, 3)), 1.0, np.zeros((2, 2)))
+
+
 def test_circle_path_validation():
     with pytest.raises(ValueError):
         CirclePath(radius=-1.0, angles=(0.0,))

@@ -8,9 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from wigpath.action import circle_action, CirclePath
+from wigpath import integrate
+from wigpath.action import circle_action, circle_actions_batch, CirclePath
 from wigpath.integrate import (
     BudgetError,
+    McResult,
     MidpointGrid,
     MonteCarloSpec,
     QuadratureSpec,
@@ -156,6 +158,96 @@ def test_mean_phase_magnitude_non_increasing_in_l():
         slack = 2.0 * math.hypot(a.phase_standard_error or 0.0, b.phase_standard_error or 0.0)
         assert b.mean_phase_magnitude <= a.mean_phase_magnitude + slack
         assert b.mean_phase_magnitude > 0.0
+
+
+def per_radius_reference(s, params, spec, z_route):
+    """Single-radius estimator written out as the per-radius route computes it:
+    draw each batch from its own Philox stream, evaluate the actions at one
+    radius, reduce over the samples, then combine the batches in order."""
+    r = params.radius
+    stats = []
+    for b, size in enumerate(spec.batch_sizes()):
+        rng = np.random.Generator(np.random.Philox(spec.seed).jumped(b))
+        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, params.L))
+        path_terms, totals = circle_actions_batch(thetas, r, s)
+        w = np.exp(-totals)
+        mag = np.exp(-totals.real)
+        stats.append(
+            (size, complex(w.sum()), float((w.real**2).sum()), float(mag.sum()),
+             float((mag**2).sum()), complex(np.exp(-path_terms).sum()))
+        )
+    n = sum(st[0] for st in stats)
+    sum_w = sum(st[1] for st in stats)
+    sum_mag = sum(st[3] for st in stats)
+    scale = (2.0 / math.pi) * math.exp(-params.log_z)
+    weights = np.array([st[0] for st in stats], dtype=float) / n
+
+    def batch_se(means):
+        mean = float((weights * means).sum())
+        var = float((weights**2 * (means - mean) ** 2).sum())
+        return math.sqrt(var * len(means) / (len(means) - 1))
+
+    if z_route == "exact":
+        estimate = scale * sum_w.real / n
+        means = np.array([scale * st[1].real / st[0] for st in stats])
+    else:
+        estimate = (2.0 / math.pi) * sum_w.real / sum(st[5] for st in stats).real
+        means = np.array([(2.0 / math.pi) * st[1].real / st[5].real for st in stats])
+    if len(stats) > 1:
+        se = batch_se(means)
+        phase_se = batch_se(np.array([min(1.0, abs(st[1]) / st[3]) for st in stats]))
+    else:
+        var = max(sum(st[2] for st in stats) / n - (sum_w.real / n) ** 2, 0.0)
+        se = scale * math.sqrt(var / max(n - 1, 1))
+        phase_se = None
+    return McResult(
+        estimate=estimate,
+        standard_error=se,
+        mean_phase_magnitude=min(1.0, abs(sum_w) / sum_mag),
+        effective_sample_size=sum_mag**2 / sum(st[4] for st in stats),
+        phase_standard_error=phase_se,
+    )
+
+
+@pytest.mark.parametrize("z_route", ["exact", "angular"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MonteCarloSpec(samples=20_000, seed=5, workers=1),
+        MonteCarloSpec(samples=20_000, seed=5, workers=3),
+        MonteCarloSpec(samples=6_000, seed=8, batch_size=6_000),  # one batch
+    ],
+    ids=["workers1", "workers3", "single_batch"],
+)
+def test_montecarlo_array_call_bit_identical_to_per_radius_reference(spec, z_route):
+    params = FamilyParams(3, 1.5)
+    radii = np.linspace(0.0, 2.7, 6)
+    results = wigner_montecarlo(radii.astype(complex), params, spec, z_route=z_route)
+    assert len(results) == len(radii)
+    for s, got in zip(radii, results):
+        assert got == per_radius_reference(float(s), params, spec, z_route)
+
+
+def test_montecarlo_scalar_call_is_one_point_array_call():
+    params = FamilyParams(4, 10.5)
+    spec = MonteCarloSpec(samples=10_000, seed=2)
+    for alpha in (0.0j, 1.7 - 0.4j, 3.3 + 0j):
+        (single,) = wigner_montecarlo(np.array([alpha]), params, spec)
+        assert wigner_montecarlo(alpha, params, spec) == single
+
+
+def test_montecarlo_radius_blocks_do_not_change_results(monkeypatch):
+    params = FamilyParams(2, 1.5)
+    spec = MonteCarloSpec(samples=8_000, seed=4, batch_size=1_000)
+    points = np.array([0.3 + 0.4j, -1.1j, 2.0, 0.7 - 0.2j, 1.3 + 1j])
+    whole = wigner_montecarlo(points, params, spec, z_route="angular")
+    monkeypatch.setattr(integrate, "_BLOCK_ENTRIES", 2_000)  # blocks of two radii
+    assert wigner_montecarlo(points, params, spec, z_route="angular") == whole
+
+
+def test_montecarlo_rejects_2d_points():
+    with pytest.raises(ValueError):
+        wigner_montecarlo(np.zeros((2, 2)), FamilyParams(2, 1.5), MonteCarloSpec(samples=2_000))
 
 
 def test_midpoint_grid_validation():
