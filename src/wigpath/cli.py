@@ -460,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figure2":
             return cmd_figure2(args.n, args.out_dir, args.points, args.L, args.fmt)
         if args.command == "check":
-            if args.suite == "sign":
+            if args.suite in ("sign", "all"):
                 return cmd_check(args.suite, args.output, L_max=args.L_max, samples=args.samples, seed=args.seed)
             return cmd_check(args.suite, args.output)
         if args.command == "saddle-table":

@@ -86,7 +86,7 @@ class FamilyParams:
                 f"N = {self.N} is an integer: the L -> infinity limit is "
                 "discontinuous there and the family does not single out one "
                 "number level",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
         n_floor = self._tail_cutoff()
         n_max = n_floor if self.n_max is None else self.n_max

@@ -162,6 +162,16 @@ def test_check_sign_trend(tmp_path):
     assert [row["L"] for row in rows] == [1, 2, 3]
 
 
+def test_check_all_forwards_sign_options(tmp_path):
+    out = tmp_path / "all.json"
+    main(["check", "all", "--samples", "2000", "--L-max", "2", "--seed", "3", "--out", str(out)])
+    report = json.loads(out.read_text())
+    (sign,) = [c for c in report["checks"] if c["name"].startswith("sign")]
+    rows = sign["detail"]["rows"]
+    assert len(rows) == 2
+    assert all(row["effective_sample_size"] <= 2000 for row in rows)
+
+
 def test_saddle_table(tmp_path):
     out = tmp_path / "table.csv"
     code = main(

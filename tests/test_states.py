@@ -67,8 +67,10 @@ def test_truncation_error_when_n_max_too_small():
 
 
 def test_integer_n_flagged():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         FamilyParams(3, 2.0)
+    # reported at the caller, not inside the generated __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_log_partition_trivial_and_bessel():
