@@ -92,16 +92,18 @@ class FamilyParams:
         n_max = n_floor if self.n_max is None else self.n_max
         object.__setattr__(self, "n_max", n_max)
 
-        ell = self._log_weights_unnormalized(n_max)
+        n0 = math.floor(self.N)
+        ell = self._log_weights_unnormalized(n_max, n0)
         if ell[-1] > ell.max() - _TAIL_LOG_DROP:
             raise TruncationError(
                 f"n_max = {n_max} leaves a weight tail above 1e-20 of the peak "
                 f"(need n_max >= {n_floor} for L={self.L}, N={self.N})"
             )
         peak = ell.max()
-        log_z = peak + math.log(np.exp(ell - peak).sum())
-        object.__setattr__(self, "log_z", log_z)
-        object.__setattr__(self, "weight_array", np.exp(ell - log_z))
+        log_sum = peak + math.log(np.exp(ell - peak).sum())
+        log_peak_level = self.L * (n0 * math.log(self.N) - log_factorial(n0) - self.N)
+        object.__setattr__(self, "log_z", log_peak_level + log_sum)
+        object.__setattr__(self, "weight_array", np.exp(ell - log_sum))
         self.weight_array.setflags(write=False)
 
     def _tail_cutoff(self) -> int:
@@ -113,9 +115,11 @@ class FamilyParams:
             n += 1
         return n
 
-    def _log_weights_unnormalized(self, n_max: int) -> np.ndarray:
+    def _log_weights_unnormalized(self, n_max: int, n0: int) -> np.ndarray:
+        """ln of (N^n/n!)^L relative to level n0.  The differences are formed
+        before the factor L, so off-peak weights keep their digits at large L."""
         n = np.arange(n_max + 1, dtype=float)
-        return self.L * (n * math.log(self.N) - log_factorials(n_max) - self.N)
+        return self.L * ((n - n0) * math.log(self.N) - (log_factorials(n_max) - log_factorial(n0)))
 
     @property
     def radius(self) -> float:

@@ -1,6 +1,7 @@
 """State-family tests: weights, partition sums, closed-form Wigner functions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ def test_weights_normalized_and_nonnegative():
 def test_weights_monotone_concentration():
     peaks = [FamilyParams(L, 10.5).weight_array.max() for L in range(1, 41)]
     assert all(b >= a - 1e-15 for a, b in zip(peaks, peaks[1:]))
+
+
+@pytest.mark.parametrize("L", [60, 159])
+def test_family_weights_match_exact_rationals_at_large_L(L):
+    # TV to level 10 is 1 - w_10 = x/(1+x), x = sum_{n != 10} r_n^L with
+    # r_n = N^(n-10) 10!/n!, in exact rationals (levels above 60 add < 1e-25)
+    N, level = Fraction(21, 2), 10
+    x = sum(
+        (N ** (n - level) * math.factorial(level) / math.factorial(n)) ** L
+        for n in range(61)
+        if n != level
+    )
+    exact = float(x / (1 + x))
+    w = FamilyParams(L, float(N)).weight_array
+    off = w.copy()
+    off[level] -= 1.0
+    tv = 0.5 * float(np.abs(off).sum())
+    assert abs(tv - exact) <= 1e-12 * exact
 
 
 def test_truncation_error_when_n_max_too_small():
