@@ -131,7 +131,9 @@ def _profile_evaluator(cfg: RunConfig):
             raise ConfigError("state 'family' needs --L and --N")
         params = FamilyParams(cfg.L, cfg.N)
         if method == "spectral":
-            return _per_point(cfg, lambda r: (wigner_spectral(complex(r), params), None, "")), "spectral"
+            return _per_point(
+                cfg, lambda r: (wigner_spectral(complex(r), params), None, "")
+            ), "spectral"
         if method == "quadrature":
             qspec = QuadratureSpec(points_per_dim=cfg.M)
             return _per_point(

@@ -173,9 +173,10 @@ def _mc_batch_stats(
     """Sufficient statistics of one batch, one tuple per radius in s.
 
     The batch is drawn once and serves every radius.  Radii are taken in
-    blocks of about _BLOCK_ENTRIES (radius, sample) entries; every reduction
-    runs along the sample axis, so each radius is summed exactly as a
-    single-radius call would sum it.
+    blocks of about _BLOCK_ENTRIES (radius, sample) entries, which bounds the
+    temporaries; a profile of more blocks re-evaluates the path terms once
+    per block.  Every reduction runs along the sample axis, so each radius is
+    summed exactly as a single-radius call would sum it.
     """
     rng = np.random.Generator(np.random.Philox(seed).jumped(batch_index))
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, L))
