@@ -140,7 +140,9 @@ def circle_actions_batch(
     L = th.shape[1]
     prev = np.roll(th, 1, axis=1)
     path_terms = L * r * r - r * r * np.exp(1j * (prev - th)).sum(axis=1)
-    closing = 2.0 * r * r * np.exp(1j * (th[:, -1] - th[:, 0]))
-    ends = np.exp(-1j * (th[:, 0] - phi)) + np.exp(1j * (th[:, -1] - phi))
-    end_terms = 2.0 * s * s + closing - 2.0 * r * s * ends
+    end_terms = (
+        2.0 * s * s
+        + 2.0 * r * r * np.exp(1j * (th[:, -1] - th[:, 0]))
+        - 2.0 * r * s * (np.exp(-1j * (th[:, 0] - phi)) + np.exp(1j * (th[:, -1] - phi)))
+    )
     return path_terms, path_terms + end_terms
