@@ -136,7 +136,9 @@ def circle_actions_batch(
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise ValueError("s must be a scalar or a 1-D array of radii")
-    s = s[..., None]  # (1,) broadcasts like a scalar; (k, 1) gives one row per radius
+    # (k, 1) gives one row per radius; a scalar stays a Python float so that
+    # numpy reuses the batch-sized temporaries in place, as before
+    s = s[:, None] if s.ndim else float(s)
     L = th.shape[1]
     prev = np.roll(th, 1, axis=1)
     path_terms = L * r * r - r * r * np.exp(1j * (prev - th)).sum(axis=1)
