@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
-from .saddle import hessian_matrix
+from .saddle import SaddleSolution, hessian_log_det, hessian_matrix
 from .states import FamilyParams, wigner_number, wigner_poisson, wigner_spectral
 
 # (L, N) pairs exercised by the quadrature-vs-spectral identity check.
@@ -114,10 +114,14 @@ def check_determinant(n_random: int = 50, seed: int = 20230914, tol: float = 1e-
         for _ in range(n_random):
             theta = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 0.3))
             r = 1.0 + 2.0 * rng.random()
-            sol = _bare_solution(theta, r, L)
+            # a shell at an arbitrary angle, not a solved saddle
+            sol = SaddleSolution(
+                theta=theta, L=L, s=float("nan"), r=r, stationary_action=0j,
+                branch="interior", t=None, log_det_hessian=None,
+            )
             sign, logabs = np.linalg.slogdet(hessian_matrix(sol))
             dense = sign * np.exp(logabs)
-            closed = np.exp(complex(_closed_log_det(sol)))
+            closed = np.exp(complex(hessian_log_det(sol)))
             worst = max(worst, abs(dense - closed) / abs(closed))
         out.append(
             CheckResult(
@@ -127,24 +131,6 @@ def check_determinant(n_random: int = 50, seed: int = 20230914, tol: float = 1e-
             )
         )
     return out
-
-
-def _bare_solution(theta: complex, r: float, L: int):
-    """A SaddleSolution shell at an arbitrary angle (not a solved saddle)."""
-    from .saddle import SaddleSolution, _finite_action, _hessian_log_det
-
-    return SaddleSolution(
-        theta=theta, L=L, s=float("nan"), r=r,
-        stationary_action=_finite_action(theta, r, L),
-        branch="interior", t=np.exp(2j * L * theta / (L - 1)),
-        log_det_hessian=_hessian_log_det(theta, r, L),
-    )
-
-
-def _closed_log_det(sol) -> complex:
-    from .saddle import _hessian_log_det
-
-    return _hessian_log_det(sol.theta, sol.r, sol.L)
 
 
 def check_sign(
@@ -163,7 +149,7 @@ def check_sign(
         rows.append(
             {
                 "L": L,
-                "estimate": res.estimate,
+                "estimate": res.value,
                 "standard_error": res.standard_error,
                 "mean_phase_magnitude": res.mean_phase_magnitude,
                 "phase_standard_error": res.phase_standard_error,

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,6 +33,7 @@ OUTDIR_ENV = "WIGPATH_OUTDIR"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class ConfigError(ValueError):
@@ -66,33 +67,32 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def _out_path(explicit: str | None, default_name: str) -> Path:
-    if explicit:
-        return Path(explicit)
-    base = Path(os.environ.get(OUTDIR_ENV, "."))
-    return base / default_name
+def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
 
 
-def _write_sidecar(path: Path, config: dict, started: float) -> None:
+def _emit(output: str | None, name: str, text: str, config: dict, started: float) -> Path:
+    """Write one output file and its metadata sidecar, and return its path.
+
+    The file goes to `output`, or else to `name` under $WIGPATH_OUTDIR (default
+    the working directory).  The sidecar records the configuration, package
+    version and wall time.
+    """
+    path = Path(output) if output else Path(os.environ.get(OUTDIR_ENV, ".")) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
     meta = {
         "config": config,
         "artifact_version": __version__,
         "wall_time_seconds": time.time() - started,
         "output": path.name,
     }
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def _write_rows(path: Path, header: list[str], rows: list[list[str]], fmt: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+    path.with_name(path.name + ".meta.json").write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    )
+    return path
 
 
 def _profile_evaluator(cfg: RunConfig):
@@ -103,13 +103,13 @@ def _profile_evaluator(cfg: RunConfig):
             raise ConfigError("state 'poisson' supports --method exact (its closed form)")
         if cfg.N is None:
             raise ConfigError("state 'poisson' needs --N (mean occupation)")
-        return _per_point(cfg, lambda r: (wigner_poisson(complex(r), cfg.N), None, "")), "exact"
+        return _per_point(lambda r: (wigner_poisson(complex(r), cfg.N), None, "")), "exact"
 
     if state == "number":
         if cfg.n is None:
             raise ConfigError("state 'number' needs --n (the level)")
         if method == "exact":
-            return _per_point(cfg, lambda r: (wigner_number(complex(r), cfg.n), None, "")), "exact"
+            return _per_point(lambda r: (wigner_number(complex(r), cfg.n), None, "")), "exact"
         if method in ("saddle", "wkb"):
             L = cfg.L if cfg.L is not None else 512
 
@@ -123,7 +123,7 @@ def _profile_evaluator(cfg: RunConfig):
                 except RegionError as exc:
                     return None, None, exc.region
 
-            return _per_point(cfg, eval_asym), method
+            return _per_point(eval_asym), method
         raise ConfigError("state 'number' supports --method exact, saddle or wkb")
 
     if state == "family":
@@ -131,13 +131,11 @@ def _profile_evaluator(cfg: RunConfig):
             raise ConfigError("state 'family' needs --L and --N")
         params = FamilyParams(cfg.L, cfg.N)
         if method == "spectral":
-            return _per_point(
-                cfg, lambda r: (wigner_spectral(complex(r), params), None, "")
-            ), "spectral"
+            return _per_point(lambda r: (wigner_spectral(complex(r), params), None, "")), "spectral"
         if method == "quadrature":
             qspec = QuadratureSpec(points_per_dim=cfg.M)
             return _per_point(
-                cfg, lambda r: (wigner_quadrature(complex(r), params, qspec).value, None, "")
+                lambda r: (wigner_quadrature(complex(r), params, qspec).value, None, "")
             ), "quadrature"
         if method == "mc":
             mspec = MonteCarloSpec(
@@ -147,7 +145,7 @@ def _profile_evaluator(cfg: RunConfig):
             def eval_mc(rs: np.ndarray):
                 # one pass over the batches serves every radius; --workers splits the batches
                 results = wigner_montecarlo(rs, params, mspec)
-                return [(res.estimate, res.standard_error, "") for res in results]
+                return [(res.value, res.standard_error, "") for res in results]
 
             return eval_mc, "mc"
         raise ConfigError(
@@ -158,16 +156,9 @@ def _profile_evaluator(cfg: RunConfig):
     raise ConfigError(f"unknown state {state!r}; choose poisson, number or family")
 
 
-def _per_point(cfg: RunConfig, one):
-    """Map a per-radius evaluator over the radii, threaded for the pure routes."""
-
-    def evaluate(rs: np.ndarray) -> list:
-        if cfg.workers > 1 and cfg.method in ("quadrature", "spectral", "exact"):
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                return list(pool.map(lambda r: one(float(r)), rs))
-        return [one(float(r)) for r in rs]
-
-    return evaluate
+def _per_point(one):
+    """Map a per-radius evaluator over the radii."""
+    return lambda rs: [one(float(r)) for r in rs]
 
 
 def _profile_rows(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
@@ -182,12 +173,8 @@ def _profile_rows(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
 
 def cmd_profile(cfg: RunConfig) -> int:
     started = time.time()
-    header, rows = _profile_rows(cfg)
-    name = f"profile_{cfg.state}_{cfg.method}.{ 'json' if cfg.fmt == 'json' else 'csv'}"
-    path = _out_path(cfg.output, name)
-    _write_rows(path, header, rows, cfg.fmt)
-    _write_sidecar(path, asdict(cfg), started)
-    print(path)
+    name = f"profile_{cfg.state}_{cfg.method}.{cfg.fmt}"
+    print(_emit(cfg.output, name, _table(*_profile_rows(cfg), cfg.fmt), asdict(cfg), started))
     return EXIT_OK
 
 
@@ -246,16 +233,14 @@ def cmd_figure2(n_values: list[int], out_dir: str | None, points: int, L: int, f
 
         header = ["r", "W", "method", "stderr", "region"]
         for label, rows in (("exact", exact_rows), ("saddle", saddle_rows), ("poisson", poisson_rows)):
-            path = base / f"n{n}_{label}.{ 'json' if fmt == 'json' else 'csv'}"
-            _write_rows(path, header, rows, fmt)
-            files[label] = path.name
+            files[label] = f"n{n}_{label}.{fmt}"
+            (base / files[label]).write_text(_table(header, rows, fmt))
         config = {"n": n, "N": N, "points": points, "L": L, "fmt": fmt}
         digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
         manifest["panels"].append({"n": n, "files": files, "config": config, "config_sha256": digest})
-    manifest_path = base / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    _write_sidecar(manifest_path, {"command": "figure2", "n_values": n_values, "points": points, "L": L}, started)
-    print(manifest_path)
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    config = {"command": "figure2", "n_values": n_values, "points": points, "L": L}
+    print(_emit(str(base / "manifest.json"), "", text, config, started))
     return EXIT_OK
 
 
@@ -264,10 +249,7 @@ def cmd_check(suite: str, output: str | None, **kwargs) -> int:
     report = run_suite(suite, **kwargs)
     text = json.dumps(report, indent=2, sort_keys=True)
     if output:
-        path = Path(output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-        _write_sidecar(path, {"command": "check", "suite": suite, **kwargs}, started)
+        _emit(output, "", text + "\n", {"command": "check", "suite": suite, **kwargs}, started)
     print(text)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
@@ -300,14 +282,10 @@ def cmd_saddle_table(
                 _fmt(sol.residual()), "",
             ]
         )
-    path = _out_path(output, f"saddle_n{n}_L{L}.{ 'json' if fmt == 'json' else 'csv'}")
-    _write_rows(path, header, rows, fmt)
-    _write_sidecar(
-        path,
-        {"command": "saddle-table", "n": n, "L": L, "s_min": s_min, "s_max": s_max, "points": points},
-        started,
-    )
-    print(path)
+    config = {
+        "command": "saddle-table", "n": n, "L": L, "s_min": s_min, "s_max": s_max, "points": points,
+    }
+    print(_emit(output, f"saddle_n{n}_L{L}.{fmt}", _table(header, rows, fmt), config, started))
     return EXIT_OK
 
 
@@ -323,40 +301,50 @@ def cmd_mc_diag(
         res = wigner_montecarlo(complex(alpha), params, MonteCarloSpec(samples, seed=seed, workers=workers))
         rows.append(
             [
-                str(L), _fmt(res.estimate), _fmt(res.standard_error),
+                str(L), _fmt(res.value), _fmt(res.standard_error),
                 _fmt(res.mean_phase_magnitude), _fmt(res.phase_standard_error),
                 _fmt(res.effective_sample_size),
             ]
         )
-    path = _out_path(output, f"mc_diag_N{N}.{ 'json' if fmt == 'json' else 'csv'}")
-    _write_rows(path, header, rows, fmt)
-    _write_sidecar(
-        path,
-        {
-            "command": "mc-diag", "N": N, "alpha": alpha, "L_min": L_min, "L_max": L_max,
-            "samples": samples, "seed": seed, "workers": workers,
-        },
-        started,
-    )
-    print(path)
+    config = {
+        "command": "mc-diag", "N": N, "alpha": alpha, "L_min": L_min, "L_max": L_max,
+        "samples": samples, "seed": seed, "workers": workers,
+    }
+    print(_emit(output, f"mc_diag_N{N}.{fmt}", _table(header, rows, fmt), config, started))
     return EXIT_OK
 
 
-def _read_config_file(path: str) -> dict:
-    """Plain key=value lines; '#' starts a comment."""
+# config-file keys named after a flag rather than its destination
+_CONFIG_ALIASES = {
+    "rmin": "r_min", "rmax": "r_max", "batch": "batch_size", "out": "output", "format": "fmt",
+}
+
+
+def _read_config_file(path: str, dests: dict) -> dict:
+    """Plain key=value lines; '#' starts a comment.  Keys are option names
+    or destinations in `dests`; returns raw strings by destination."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
+        key = key.replace("-", "_")
+        dest = _CONFIG_ALIASES.get(key, key)
+        if dest not in dests or dest in ("command", "config"):
+            raise ConfigError(f"unknown config key {key!r}")
+        values[dest] = value
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command parser and, by handle, its `profile` subparser."""
     parser = argparse.ArgumentParser(
         prog="wigpath",
         description="Wigner functions of radially squeezed states: closed forms, "
@@ -378,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--M", type=int, default=128, help="quadrature points per angle")
     prof.add_argument("--samples", type=int, default=100_000)
     prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument("--workers", type=int, default=1)
+    prof.add_argument(
+        "--workers", type=int, default=1, help="threads splitting the Monte Carlo batches"
+    )
     prof.add_argument("--batch", dest="batch_size", type=int)
     prof.add_argument("--normalization", choices=["raw", "wkb-matched"], default="wkb-matched")
     prof.add_argument("--out", dest="output")
@@ -418,47 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     mcd.add_argument("--out", dest="output")
     mcd.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
 
-    return parser
-
-
-_CONFIG_COERCE = {
-    "n": int, "L": int, "points": int, "M": int, "samples": int, "seed": int,
-    "workers": int, "batch_size": int, "N": float, "r_min": float, "r_max": float,
-}
-
-
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    if getattr(args, "config", None) is None:
-        return args
-    file_values = _read_config_file(args.config)
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-    alias = {"rmin": "r_min", "rmax": "r_max", "batch": "batch_size", "out": "output", "format": "fmt"}
-    for key, raw in file_values.items():
-        dest = alias.get(key, key)
-        if not hasattr(args, dest):
-            raise ConfigError(f"unknown config key {key!r}")
-        if dest in explicit or alias.get(key) in explicit or key in explicit:
-            continue  # command line wins
-        caster = _CONFIG_COERCE.get(dest, str)
-        setattr(args, dest, caster(raw))
-    return args
+    return parser, prof
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, prof = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "profile":
-            args = _apply_config_file(args, argv)
-            cfg = RunConfig(
-                command="profile", state=args.state, n=args.n, N=args.N, L=args.L,
-                method=args.method, r_min=args.r_min, r_max=args.r_max, points=args.points,
-                M=args.M, samples=args.samples, seed=args.seed, workers=args.workers,
-                batch_size=args.batch_size, normalization=args.normalization,
-                output=args.output, fmt=args.fmt,
-            )
-            return cmd_profile(cfg)
+            if args.config is not None:
+                # file values become the subparser's defaults: argparse converts
+                # them by each option's type, and command-line flags still win
+                prof.set_defaults(**_read_config_file(args.config, vars(args)))
+                args = parser.parse_args(argv)
+            fields = vars(args)
+            del fields["config"]
+            return cmd_profile(RunConfig(**fields))
         if args.command == "figure2":
             return cmd_figure2(args.n, args.out_dir, args.points, args.L, args.fmt)
         if args.command == "check":
@@ -477,6 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

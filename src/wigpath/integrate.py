@@ -30,9 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .action import circle_actions_batch
-from .states import FamilyParams, WignerSample
+from .states import _WIGNER_BOUND, FamilyParams, WignerSample
 
-_TWO_OVER_PI = 2.0 / math.pi
 _IMAG_RESIDUE_TOL = 1e-10
 # (radius, sample) entries per block of the Monte Carlo temporaries
 _BLOCK_ENTRIES = 1_000_000
@@ -92,23 +91,6 @@ class MonteCarloSpec:
         return [self.batch_size] * full + ([rest] if rest else [])
 
 
-@dataclass(frozen=True)
-class McResult:
-    """Monte Carlo estimate with sign-problem diagnostics."""
-
-    estimate: float
-    standard_error: float
-    mean_phase_magnitude: float
-    effective_sample_size: float
-    phase_standard_error: float | None = None
-
-    def __post_init__(self):
-        if not self.standard_error >= 0:
-            raise ValueError("standard error must be non-negative")
-        if not 0.0 <= self.mean_phase_magnitude <= 1.0:
-            raise ValueError("mean phase magnitude must lie in [0, 1]")
-
-
 @lru_cache(maxsize=16)
 def _circle_kernel(r: float, L: int, M: int) -> np.ndarray:
     """Alpha-independent part of the grid sum.
@@ -163,7 +145,7 @@ def wigner_quadrature(
             f"imaginary residue {total.imag:.3e} vs real part {total.real:.3e} "
             f"(incoherent scale {incoherent:.3e})"
         )
-    value = _TWO_OVER_PI * math.exp(-params.log_z - params.L * math.log(M)) * total.real
+    value = _WIGNER_BOUND * math.exp(-params.log_z - params.L * math.log(M)) * total.real
     return WignerSample(alpha=alpha, value=value, method="quadrature")
 
 
@@ -207,8 +189,10 @@ def _weighted_batch_se(batch_means: np.ndarray, batch_weights: np.ndarray) -> fl
     return math.sqrt(var * b / (b - 1))
 
 
-def _mc_result(stats: list[tuple], params: FamilyParams, z_route: str) -> McResult:
-    """Combine the per-batch statistics of one radius, in batch order."""
+def _mc_result(
+    alpha: complex, stats: list[tuple], params: FamilyParams, z_route: str
+) -> WignerSample:
+    """Combine the per-batch statistics of one point, in batch order."""
     n = sum(st[0] for st in stats)
     sum_w = sum(st[1] for st in stats)
     sum_w_re2 = sum(st[2] for st in stats)
@@ -216,17 +200,15 @@ def _mc_result(stats: list[tuple], params: FamilyParams, z_route: str) -> McResu
     sum_mag2 = sum(st[4] for st in stats)
     sum_path = sum(st[5] for st in stats)
 
-    scale = _TWO_OVER_PI * math.exp(-params.log_z)
+    scale = _WIGNER_BOUND * math.exp(-params.log_z)
     sizes = np.array([st[0] for st in stats], dtype=float)
     weights = sizes / n
     if z_route == "exact":
         estimate = scale * sum_w.real / n
         batch_means = np.array([scale * st[1].real / st[0] for st in stats])
     else:
-        estimate = _TWO_OVER_PI * sum_w.real / sum_path.real
-        batch_means = np.array(
-            [_TWO_OVER_PI * st[1].real / st[5].real for st in stats]
-        )
+        estimate = _WIGNER_BOUND * sum_w.real / sum_path.real
+        batch_means = np.array([_WIGNER_BOUND * st[1].real / st[5].real for st in stats])
 
     if len(stats) > 1:
         se = _weighted_batch_se(batch_means, weights)
@@ -245,8 +227,10 @@ def _mc_result(stats: list[tuple], params: FamilyParams, z_route: str) -> McResu
         phase_se = None
     ess = sum_mag**2 / sum_mag2 if sum_mag2 > 0 else 0.0
 
-    return McResult(
-        estimate=estimate,
+    return WignerSample(
+        alpha=alpha,
+        value=estimate,
+        method="monte-carlo",
         standard_error=se,
         mean_phase_magnitude=phase,
         effective_sample_size=ess,
@@ -259,13 +243,14 @@ def wigner_montecarlo(
     params: FamilyParams,
     spec: MonteCarloSpec,
     z_route: str = "exact",
-) -> McResult | list[McResult]:
+) -> WignerSample | list[WignerSample]:
     """Monte Carlo estimate of W(L, N) at alpha by uniform torus sampling.
 
-    alpha is a complex scalar, giving one McResult, or a 1-D array of points,
-    giving one McResult per point in input order.  One set of draws serves
-    every point, and the result at each point is bit-identical to a
-    single-point call there.
+    alpha is a complex scalar, giving one WignerSample, or a 1-D array of
+    points, giving one WignerSample per point in input order.  One set of
+    draws serves every point, and the result at each point is bit-identical
+    to a single-point call there.  Each sample carries the standard error and
+    the sign-problem diagnostics.
 
     z_route selects the partition-sum normalization: "exact" divides by the
     number-basis Z(L, N) (default, exact and noise-free), "angular" divides by
@@ -277,11 +262,13 @@ def wigner_montecarlo(
     points = np.asarray(alpha)
     if points.ndim > 1:
         raise ValueError("alpha must be a scalar or a 1-D array of points")
-    s = np.abs(points).reshape(-1)
-    if not s.size:
+    flat = points.reshape(-1)
+    if not flat.size:
         return []
-    per_batch = _batch_stats_list(params, spec, s)
-    results = [_mc_result(stats, params, z_route) for stats in zip(*per_batch)]
+    per_batch = _batch_stats_list(params, spec, np.abs(flat))
+    results = [
+        _mc_result(complex(a), stats, params, z_route) for a, stats in zip(flat, zip(*per_batch))
+    ]
     return results if points.ndim else results[0]
 
 
@@ -355,5 +342,5 @@ def smoothed_wigner_from_histogram(
         stop = min(start + chunk, out.size)
         d2 = (cx[start:stop, None] - cx[None, :]) ** 2 + (cy[start:stop, None] - cy[None, :]) ** 2
         out[start:stop] = np.exp(-2.0 * d2) @ flat
-    out *= _TWO_OVER_PI * math.exp(-params.log_z) / samples
+    out *= _WIGNER_BOUND * math.exp(-params.log_z) / samples
     return out.reshape(grid.bins, grid.bins)

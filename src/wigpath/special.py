@@ -68,21 +68,8 @@ def _i0_asymptotic_factor(x: float) -> float:
     return total
 
 
-def laguerre(n: int, x: float) -> float:
-    """Laguerre polynomial L_n(x) by the forward three-term recurrence."""
-    if n < 0:
-        raise ValueError("Laguerre order must be non-negative")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
-
-
 def laguerre_all(n_max: int, x: float) -> np.ndarray:
-    """All of L_0(x) .. L_nmax(x) in one recurrence pass."""
+    """All of L_0(x) .. L_nmax(x) in one pass of the forward three-term recurrence."""
     if n_max < 0:
         raise ValueError("Laguerre order must be non-negative")
     out = np.empty(n_max + 1)

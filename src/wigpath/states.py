@@ -26,8 +26,9 @@ _WIGNER_BOUND = 2.0 / math.pi
 
 # Method tags whose values are genuine Wigner evaluations and must respect the
 # global 2/pi bound.  Saddle-point and WKB values are asymptotic approximants
-# with an amplitude that is not trustworthy near their singular edges.
-_BOUNDED_METHODS = {"exact-poisson", "exact-number", "spectral", "quadrature", "monte-carlo"}
+# with an amplitude that is not trustworthy near their singular edges, and a
+# Monte Carlo estimate carries noise that may cross the bound.
+_BOUNDED_METHODS = {"spectral", "quadrature"}
 
 
 class TruncationError(ValueError):
@@ -44,13 +45,20 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class WignerSample:
-    """One Wigner-function evaluation, tagged with how it was obtained."""
+    """One Wigner-function evaluation, tagged with how it was obtained.
+
+    Monte Carlo evaluations also carry their sign-problem diagnostics: the
+    standard error, the mean phase magnitude with its standard error (None
+    for a single batch), and the effective sample size.
+    """
 
     alpha: complex
     value: float
     method: str
     standard_error: float | None = None
     mean_phase_magnitude: float | None = None
+    effective_sample_size: float | None = None
+    phase_standard_error: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -59,6 +67,10 @@ class WignerSample:
             raise ValueError(
                 f"|W| = {abs(self.value):.6g} exceeds the 2/pi bound ({self.method})"
             )
+        if self.standard_error is not None and not self.standard_error >= 0:
+            raise ValueError("standard error must be non-negative")
+        if self.mean_phase_magnitude is not None and not 0.0 <= self.mean_phase_magnitude <= 1.0:
+            raise ValueError("mean phase magnitude must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -19,24 +19,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from wigpath.checks import radial_normalization
-from wigpath.integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
-from wigpath.saddle import (
-    SaddleSolution,
-    hessian_matrix,
-    hessian_log_det,
-    solve_saddle,
-    stationary_action,
-    wigner_saddle,
-    wigner_wkb,
+from wigpath.checks import (
+    _normalization_cases,
+    check_determinant,
+    check_normalization,
+    check_oracle,
 )
-from wigpath.states import (
-    FamilyParams,
-    gaussian_convolve_p1,
-    wigner_number,
-    wigner_poisson,
-    wigner_spectral,
-)
+from wigpath.integrate import MonteCarloSpec, wigner_montecarlo, wigner_quadrature
+from wigpath.saddle import solve_saddle, stationary_action, wigner_saddle, wigner_wkb
+from wigpath.states import FamilyParams, gaussian_convolve_p1, wigner_number, wigner_poisson
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):
@@ -61,14 +52,11 @@ def crossings_of(fn, lo: float, hi: float, points: int = 4001):
 
 def test_criterion_01_quadrature_equals_spectral():
     start = time.perf_counter()
-    spec = QuadratureSpec(points_per_dim=128)
-    worst = 0.0
-    for L, N in [(1, 1.5), (2, 1.5), (3, 1.5), (2, 10.5)]:
-        params = FamilyParams(L, N)
-        for s in np.linspace(0.0, math.sqrt(N) + 2.0, 20):
-            wq = wigner_quadrature(complex(s), params, spec).value
-            ws = wigner_spectral(complex(s), params)
-            worst = max(worst, abs(wq - ws) / (1e-6 * max(abs(ws), 0.01)))
+    results = check_oracle(points=20, M=128)
+    assert [r.name for r in results] == [
+        f"oracle L={L} N={N}" for L, N in [(1, 1.5), (2, 1.5), (3, 1.5), (2, 10.5)]
+    ]
+    worst = max(r.detail["worst_over_tolerance"] for r in results)
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -97,27 +85,19 @@ def test_criterion_02_poisson_closed_form_vs_convolution():
 
 def test_criterion_03_normalization():
     start = time.perf_counter()
-    qspec = QuadratureSpec()
-    fam_q = FamilyParams(3, 1.5)
-    fam_s = FamilyParams(2, 10.5)
-    cases = {
-        "poisson N=1": (lambda s: wigner_poisson(complex(s), 1.0), math.sqrt(24.0) + 6.0),
-        "poisson N=10.5": (lambda s: wigner_poisson(complex(s), 10.5), math.sqrt(62.0) + 6.0),
-        "number n=1": (lambda s: wigner_number(complex(s), 1), 7.0),
-        "number n=10": (lambda s: wigner_number(complex(s), 10), math.sqrt(10.0) + 6.0),
-        "family L=3 N=1.5 (quadrature)": (
-            lambda s: wigner_quadrature(complex(s), fam_q, qspec).value,
-            math.sqrt(fam_q.n_max) + 6.0,
-        ),
-        "family L=2 N=10.5 (spectral)": (
-            lambda s: wigner_spectral(complex(s), fam_s),
-            math.sqrt(fam_s.n_max) + 6.0,
-        ),
-    }
-    worst = 0.0
-    for label, (profile, s_max) in cases.items():
-        integral, _ = radial_normalization(profile, s_max)
-        worst = max(worst, abs(integral - 1.0))
+    cases = _normalization_cases()
+    # s_max: sqrt(ceil(4N + 20)) + 6 for Poisson, sqrt(n) + 6 for number states,
+    # sqrt(n_max) + 6 for the family members
+    assert [(label, s_max) for label, _, s_max in cases] == [
+        ("poisson N=1.0", math.sqrt(24.0) + 6.0),
+        ("poisson N=10.5", math.sqrt(62.0) + 6.0),
+        ("number n=1", 7.0),
+        ("number n=10", math.sqrt(10.0) + 6.0),
+        ("family L=3 N=1.5 quadrature", math.sqrt(FamilyParams(3, 1.5).n_max) + 6.0),
+        ("family L=2 N=10.5 spectral", math.sqrt(FamilyParams(2, 10.5).n_max) + 6.0),
+    ]
+    results = check_normalization(tol=1e-6)
+    worst = max(abs(r.detail["integral"] - 1.0) for r in results)
     elapsed = time.perf_counter() - start
     _report(
         3,
@@ -165,21 +145,9 @@ def test_criterion_04_figure_reproduction():
 
 def test_criterion_05_hessian_determinant():
     start = time.perf_counter()
-    rng = np.random.default_rng(314)
-    worst = 0.0
-    for L in range(3, 11):
-        for _ in range(50):
-            theta = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 0.3))
-            r = 1.0 + 2.0 * rng.random()
-            sol = SaddleSolution(
-                theta=theta, L=L, s=0.0, r=r, stationary_action=0.0,
-                branch="interior", t=np.exp(2j * L * theta / (L - 1)),
-                log_det_hessian=None,
-            )
-            sign, logabs = np.linalg.slogdet(hessian_matrix(sol))
-            dense = sign * math.exp(logabs)
-            closed = np.exp(complex(hessian_log_det(sol)))
-            worst = max(worst, abs(dense - closed) / abs(closed))
+    results = check_determinant(n_random=50, seed=314)
+    assert [r.name for r in results] == [f"determinant L={L}" for L in range(3, 11)]
+    worst = max(r.detail["worst_relative_error"] for r in results)
     elapsed = time.perf_counter() - start
     _report(
         5,
@@ -219,7 +187,7 @@ def test_criterion_07_monte_carlo_consistency_and_sign_trend():
     hits = 0
     for seed in range(30):
         res = wigner_montecarlo(0.8 + 0j, params, MonteCarloSpec(1_000_000, seed=seed))
-        if abs(res.estimate - truth) <= 3.0 * res.standard_error:
+        if abs(res.value - truth) <= 3.0 * res.standard_error:
             hits += 1
     phases = []
     for L in range(1, 6):

@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from wigpath.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
+from wigpath import cli
+from wigpath.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
+from wigpath.integrate import RealnessError
 
 
 def read_csv(path):
@@ -119,11 +121,45 @@ def test_profile_config_file_with_override(tmp_path):
     assert len(rows) == 5  # command line wins over the file
     assert float(rows[-1][0]) == pytest.approx(3.0)
 
+    # a key named after the destination loses to its flag as well
+    cfg.write_text("state = number\nn = 2\nmethod = exact\npoints = 3\nr_max = 9.0\n")
+    assert main(["profile", "--config", str(cfg), "--rmax", "3", "--out", str(out)]) == EXIT_OK
+    _, rows = read_csv(out)
+    assert [float(row[0]) for row in rows] == pytest.approx([0.0, 1.5, 3.0])
+
+
+def test_profile_config_file_bad_type_exits_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("state = number\nn = 2\nmethod = exact\npoints = 1.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert "--points" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--state", "number", "--n", "2", "--method", "exact", "--points", "1.5"])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert "--points" in capsys.readouterr().err
+
 
 def test_profile_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
     assert main(["profile", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+    assert main(["profile", "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG_ERROR
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RealnessError("imaginary residue")
+
+    monkeypatch.setattr(cli, "wigner_quadrature", broken)
+    code = main(
+        ["profile", "--state", "family", "--L", "2", "--N", "1.5", "--method", "quadrature",
+         "--points", "3", "--out", str(tmp_path / "q.csv")]
+    )
+    assert code == EXIT_INTERNAL_ERROR
+    assert EXIT_INTERNAL_ERROR not in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
+    assert "RealnessError" in capsys.readouterr().err
 
 
 def test_figure2_bundle(tmp_path):

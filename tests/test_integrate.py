@@ -12,7 +12,6 @@ from wigpath import integrate
 from wigpath.action import circle_action, circle_actions_batch, CirclePath
 from wigpath.integrate import (
     BudgetError,
-    McResult,
     MidpointGrid,
     MonteCarloSpec,
     QuadratureSpec,
@@ -21,7 +20,7 @@ from wigpath.integrate import (
     wigner_montecarlo,
     wigner_quadrature,
 )
-from wigpath.states import FamilyParams, wigner_poisson, wigner_spectral
+from wigpath.states import FamilyParams, WignerSample, wigner_poisson, wigner_spectral
 
 
 def brute_force_grid_sum(params, alpha, M):
@@ -128,7 +127,7 @@ def test_montecarlo_consistent_with_quadrature():
     params = FamilyParams(3, 1.5)
     truth = wigner_quadrature(0.8 + 0j, params).value
     res = wigner_montecarlo(0.8 + 0j, params, MonteCarloSpec(samples=400_000, seed=1))
-    assert abs(res.estimate - truth) <= 4.0 * res.standard_error
+    assert abs(res.value - truth) <= 4.0 * res.standard_error
     assert 0.0 < res.mean_phase_magnitude <= 1.0
     assert 0.0 < res.effective_sample_size <= 400_000
 
@@ -139,7 +138,7 @@ def test_montecarlo_z_routes_agree():
     exact = wigner_montecarlo(0.6 + 0j, params, spec, z_route="exact")
     angular = wigner_montecarlo(0.6 + 0j, params, spec, z_route="angular")
     sigma = math.hypot(exact.standard_error, angular.standard_error)
-    assert abs(exact.estimate - angular.estimate) <= 4.0 * sigma
+    assert abs(exact.value - angular.value) <= 4.0 * sigma
 
 
 def test_montecarlo_phase_is_unity_for_single_slice():
@@ -200,8 +199,10 @@ def per_radius_reference(s, params, spec, z_route):
         var = max(sum(st[2] for st in stats) / n - (sum_w.real / n) ** 2, 0.0)
         se = scale * math.sqrt(var / max(n - 1, 1))
         phase_se = None
-    return McResult(
-        estimate=estimate,
+    return WignerSample(
+        alpha=complex(s),
+        value=estimate,
+        method="monte-carlo",
         standard_error=se,
         mean_phase_magnitude=min(1.0, abs(sum_w) / sum_mag),
         effective_sample_size=sum_mag**2 / sum(st[4] for st in stats),
@@ -234,6 +235,7 @@ def test_montecarlo_scalar_call_is_one_point_array_call():
     for alpha in (0.0j, 1.7 - 0.4j, 3.3 + 0j):
         (single,) = wigner_montecarlo(np.array([alpha]), params, spec)
         assert wigner_montecarlo(alpha, params, spec) == single
+        assert single.alpha == alpha and single.method == "monte-carlo"
 
 
 def test_montecarlo_radius_blocks_do_not_change_results(monkeypatch):

@@ -10,7 +10,6 @@ from wigpath.special import (
     _i0_asymptotic_factor,
     _i0_series,
     bessel_i0,
-    laguerre,
     laguerre_all,
     log_bessel_i0,
     log_factorial,
@@ -77,6 +76,11 @@ def test_i0_monotone_and_asymptote():
     assert abs(log_bessel_i0(x) - (x - 0.5 * math.log(2 * math.pi * x))) < 1e-3
 
 
+def laguerre(n: int, x: float) -> float:
+    """L_n(x) alone: the last entry of a recurrence pass up to order n."""
+    return float(laguerre_all(n, x)[n])
+
+
 def test_laguerre_closed_forms():
     for x in [-3.0, 0.0, 0.5, 7.0]:
         assert laguerre(0, x) == 1.0
@@ -101,15 +105,17 @@ def test_laguerre_recurrence_vs_exact_sum():
 
 
 def test_laguerre_all_matches_scalar():
+    # every entry of one pass equals the pass stopped at that order, and the exact sum
     x = 3.7
     vals = laguerre_all(25, x)
     for n in range(26):
-        assert vals[n] == pytest.approx(laguerre(n, x), rel=1e-13)
+        assert vals[n] == laguerre(n, x)
+        assert vals[n] == pytest.approx(laguerre_sum_oracle(n, x), rel=1e-13)
 
 
 def test_laguerre_rejects_negative_order():
     with pytest.raises(ValueError):
-        laguerre(-1, 0.0)
+        laguerre_all(-1, 0.0)
 
 
 def test_log_factorial_small_values():

@@ -255,3 +255,10 @@ def test_wigner_sample_bound_enforced_for_exact_tags():
     with pytest.raises(ValueError):
         WignerSample(alpha=0j, value=0.7, method="spectral")
     WignerSample(alpha=0j, value=5.0, method="saddle")  # asymptotic tags exempt
+    WignerSample(alpha=0j, value=0.7, method="monte-carlo")  # noise may cross the bound
+    with pytest.raises(ValueError):
+        WignerSample(alpha=0j, value=math.nan, method="monte-carlo")
+    with pytest.raises(ValueError):
+        WignerSample(alpha=0j, value=0.1, method="monte-carlo", standard_error=-1e-3)
+    with pytest.raises(ValueError):
+        WignerSample(alpha=0j, value=0.1, method="monte-carlo", mean_phase_magnitude=1.5)
