@@ -7,7 +7,6 @@ from .action import (
     ActionValue,
     CirclePath,
     chord_midpoint,
-    circle_action,
     end_action,
     path_action,
     total_action,
@@ -77,7 +76,6 @@ __all__ = [
     "alpha_from_qp",
     "bessel_i0",
     "chord_midpoint",
-    "circle_action",
     "coherent_overlap",
     "displaced_parity_element",
     "end_action",

@@ -15,7 +15,6 @@ come out real.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,30 +91,6 @@ def total_action(path, alpha: complex) -> ActionValue:
         re_internal_links=internal,
         re_end_gap=end_gap,
         im_area=float(total.imag),
-    )
-
-
-def circle_action(path: CirclePath, alpha: complex, phi: float | None = None) -> complex:
-    """Action of a circle-restricted path, written purely in angle differences.
-
-    Angles are measured relative to the argument phi of alpha (passing phi
-    explicitly overrides the one derived from alpha), which makes global
-    rotations a testable no-op rather than a convention.
-    """
-    r = path.radius
-    th = np.asarray(path.angles)
-    s = abs(alpha)
-    if phi is None:
-        phi = math.atan2(alpha.imag, alpha.real)
-    L = th.size
-    prev = np.roll(th, 1)
-    links = np.exp(1j * (prev - th)).sum()
-    return complex(
-        L * r * r
-        + 2.0 * s * s
-        - r * r * links
-        + 2.0 * r * r * np.exp(1j * (th[-1] - th[0]))
-        - 2.0 * r * s * (np.exp(-1j * (th[0] - phi)) + np.exp(1j * (th[-1] - phi)))
     )
 
 

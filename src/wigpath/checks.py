@@ -45,11 +45,10 @@ def check_oracle(points: int = 20, M: int = 128) -> list[CheckResult]:
         params = FamilyParams(L, N)
         rs = np.linspace(0.0, math.sqrt(N) + 2.0, points)
         worst = 0.0
-        for s in rs:
-            wq = wigner_quadrature(complex(s), params, spec).value
+        for s, q in zip(rs, wigner_quadrature(rs, params, spec)):
             ws = wigner_spectral(complex(s), params)
             tol = 1e-6 * max(abs(ws), 0.01)
-            worst = max(worst, abs(wq - ws) / tol)
+            worst = max(worst, abs(q.value - ws) / tol)
         out.append(
             CheckResult(
                 name=f"oracle L={L} N={N}",

@@ -134,9 +134,9 @@ def _profile_evaluator(cfg: RunConfig):
             return _per_point(lambda r: (wigner_spectral(complex(r), params), None, "")), "spectral"
         if method == "quadrature":
             qspec = QuadratureSpec(points_per_dim=cfg.M)
-            return _per_point(
-                lambda r: (wigner_quadrature(complex(r), params, qspec).value, None, "")
-            ), "quadrature"
+            return lambda rs: [
+                (res.value, None, "") for res in wigner_quadrature(rs, params, qspec)
+            ], "quadrature"
         if method == "mc":
             mspec = MonteCarloSpec(
                 cfg.samples, seed=cfg.seed, workers=cfg.workers, batch_size=cfg.batch_size

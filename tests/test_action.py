@@ -9,13 +9,38 @@ import pytest
 from wigpath.action import (
     CirclePath,
     chord_midpoint,
-    circle_action,
     circle_actions_batch,
     end_action,
     path_action,
     total_action,
 )
 from wigpath.phase_space import coherent_overlap
+
+
+def circle_action(path: CirclePath, alpha: complex, phi: float | None = None) -> complex:
+    """Action of a circle-restricted path, written purely in angle differences.
+
+    Scalar reference for circle_actions_batch, checked below against the
+    generic-path action of the lifted vertices.  Angles are measured relative
+    to the argument phi of alpha (passing phi explicitly overrides the one
+    derived from alpha), which makes global rotations a testable no-op rather
+    than a convention.
+    """
+    r = path.radius
+    th = np.asarray(path.angles)
+    s = abs(alpha)
+    if phi is None:
+        phi = math.atan2(alpha.imag, alpha.real)
+    L = th.size
+    prev = np.roll(th, 1)
+    links = np.exp(1j * (prev - th)).sum()
+    return complex(
+        L * r * r
+        + 2.0 * s * s
+        - r * r * links
+        + 2.0 * r * r * np.exp(1j * (th[-1] - th[0]))
+        - 2.0 * r * s * (np.exp(-1j * (th[0] - phi)) + np.exp(1j * (th[-1] - phi)))
+    )
 
 
 def random_path(rng, L):

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,37 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     assert code == EXIT_INTERNAL_ERROR
     assert EXIT_INTERNAL_ERROR not in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
     assert "RealnessError" in capsys.readouterr().err
+
+
+def test_quadrature_kernel_underflow_exits_3(tmp_path, capsys):
+    # every kernel entry underflows at L = 1, N = 400.5, M = 1024; the CLI
+    # must not write W = 0.0 there (the Poisson closed form gives 6.3e-3)
+    out = tmp_path / "q.csv"
+    r = str(math.sqrt(400.5))
+    code = main(
+        ["profile", "--state", "family", "--L", "1", "--N", "400.5", "--method", "quadrature",
+         "--M", "1024", "--rmin", r, "--rmax", r, "--points", "1", "--out", str(out)]
+    )
+    assert code == EXIT_INTERNAL_ERROR
+    assert "FloatingPointError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quadrature_profile_bytes_independent_of_blas_threads(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"q{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "wigpath", "profile", "--state", "family", "--L", "3",
+             "--N", "4.5", "--method", "quadrature", "--M", "256", "--rmax", "8",
+             "--points", "400", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_figure2_bundle(tmp_path):

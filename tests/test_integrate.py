@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from wigpath import integrate
-from wigpath.action import circle_action, circle_actions_batch, CirclePath
+from wigpath.action import CirclePath, circle_actions_batch, total_action
 from wigpath.integrate import (
     BudgetError,
     MidpointGrid,
     MonteCarloSpec,
     QuadratureSpec,
+    RealnessError,
     midpoint_histogram,
     smoothed_wigner_from_histogram,
     wigner_montecarlo,
@@ -30,7 +31,7 @@ def brute_force_grid_sum(params, alpha, M):
     total = 0.0 + 0.0j
     for combo in itertools.product(range(M), repeat=params.L):
         path = CirclePath(r, tuple(grid[list(combo)]))
-        total += np.exp(-circle_action(path, alpha))
+        total += np.exp(-total_action(path.vertices(), alpha).total)
     return (2.0 / math.pi) * math.exp(-params.log_z) * total / M**params.L
 
 
@@ -103,6 +104,83 @@ def test_quadrature_positive_and_decaying_outside():
     vals = [wigner_quadrature(complex(s), params).value for s in rs]
     assert all(v > 0.0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def einsum_quadrature(params, alpha, M):
+    """The dense grid sum contracted with einsum, as (total, incoherent, scale).
+
+    The kernel is built from the identity by L - 1 einsum products and the
+    double sum is one "j,jk,k->" contraction per point: the same sum in
+    another floating-point order than the library's BLAS route.
+    """
+    r2 = params.radius**2
+    phases = np.exp(2j * math.pi * np.arange(M) / M)
+    diff = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
+    T = np.exp(r2 * (phases - 1.0))[diff]
+    A = np.eye(M, dtype=complex)
+    for _ in range(params.L - 1):
+        A = np.einsum("ij,jk->ik", A, T)
+    B = A * np.exp(-r2 * (phases + 1.0))[diff.T]
+    s, phi = abs(alpha), math.atan2(alpha.imag, alpha.real)
+    theta = 2.0 * math.pi * np.arange(M) / M
+    u = np.exp(2.0 * params.radius * s * np.exp(-1j * (theta - phi)) - s * s)
+    v = np.exp(2.0 * params.radius * s * np.exp(1j * (theta - phi)) - s * s)
+    total = np.einsum("j,jk,k->", u, B, v)
+    incoherent = np.einsum("j,jk,k->", np.abs(u), np.abs(B), np.abs(v)).real
+    scale = (2.0 / math.pi) * math.exp(-params.log_z - params.L * math.log(M))
+    return total, incoherent, scale
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+@pytest.mark.parametrize("M", [16, 32, 64, 128])
+def test_quadrature_matches_einsum_oracle(L, M):
+    params = FamilyParams(L, 1.5 if L % 2 else 4.5)
+    alphas = [0.0, 0.35 + 0.2j, -1.1 + 0.4j, 2.3, 0.5 - 3.4j]
+    got = wigner_quadrature(np.array(alphas), params, QuadratureSpec(points_per_dim=M))
+    for alpha, res in zip(alphas, got):
+        total, incoherent, scale = einsum_quadrature(params, complex(alpha), M)
+        assert abs(res.value - scale * total.real) <= 1e-13 * scale * incoherent
+
+
+def test_quadrature_array_rows_match_one_point_calls(monkeypatch):
+    alphas = np.concatenate([np.linspace(0.0, 5.0, 23), 1.3 * np.exp(1j * np.linspace(0, 6, 7))])
+    for L, N, M in [(1, 2.5, 64), (3, 1.5, 128), (2, 10.5, 256)]:
+        params = FamilyParams(L, N)
+        spec = QuadratureSpec(points_per_dim=M)
+        rows = wigner_quadrature(alphas, params, spec)
+        assert [res.alpha for res in rows] == [complex(a) for a in alphas]
+        for alpha, res in zip(alphas, rows):
+            one = wigner_quadrature(complex(alpha), params, spec)
+            assert isinstance(one, WignerSample) and one.method == "quadrature"
+            assert abs(res.value - one.value) <= 1e-15
+    # blocks of radii leave every row as it was
+    monkeypatch.setattr(integrate, "_QUAD_BLOCK_ENTRIES", 3 * 256)
+    blocked = wigner_quadrature(alphas, params, spec)
+    assert max(abs(a.value - b.value) for a, b in zip(blocked, rows)) <= 1e-15
+    assert wigner_quadrature(np.array([]), params, spec) == []
+    with pytest.raises(ValueError):
+        wigner_quadrature(alphas.reshape(2, -1), params, spec)
+
+
+def test_quadrature_non_hermitian_kernel_raises(monkeypatch):
+    kernel = integrate._circle_kernel
+
+    def skewed(r, L, M):
+        B, abs_B = kernel(r, L, M)
+        return B * (1.0 + 0.1j), abs_B
+
+    monkeypatch.setattr(integrate, "_circle_kernel", skewed)
+    with pytest.raises(RealnessError):
+        wigner_quadrature(np.array([0.0, 0.8, 1.6]), FamilyParams(3, 1.5))
+
+
+def test_quadrature_kernel_underflow_raises():
+    # at L = 1 every kernel entry is exp(-2N), below the smallest double here
+    N = 400.5
+    alpha = complex(math.sqrt(N))
+    assert wigner_poisson(alpha, N) == pytest.approx(6.346e-3, rel=1e-3)
+    with pytest.raises(FloatingPointError, match="underflows"):
+        wigner_quadrature(alpha, FamilyParams(1, N), QuadratureSpec(points_per_dim=1024))
 
 
 def test_montecarlo_spec_validation():
