@@ -48,9 +48,7 @@ from .states import (
     TruncationError,
     WignerSample,
     gaussian_convolve_p1,
-    hamiltonian_eigenvalue,
     log_partition,
-    quadratic_approx,
     weights,
     wigner_number,
     wigner_poisson,
@@ -80,7 +78,6 @@ __all__ = [
     "displaced_parity_element",
     "end_action",
     "gaussian_convolve_p1",
-    "hamiltonian_eigenvalue",
     "hessian_log_det",
     "log_bessel_i0",
     "log_coherent_overlap",
@@ -91,7 +88,6 @@ __all__ = [
     "path_action",
     "polar",
     "qp_from_alpha",
-    "quadratic_approx",
     "smoothed_wigner_from_histogram",
     "solve_saddle",
     "stationary_action",

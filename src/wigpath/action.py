@@ -94,6 +94,16 @@ def total_action(path, alpha: complex) -> ActionValue:
     )
 
 
+def circle_path_terms(thetas: np.ndarray, r: float) -> np.ndarray:
+    """Vectorized closed-polygon terms for a (batch, L) array of angles on the
+    circle of radius r: path_action of each row, one complex value per path."""
+    th = np.asarray(thetas)
+    if th.ndim != 2:
+        raise ValueError("expected a (batch, L) angle array")
+    prev = np.roll(th, 1, axis=1)
+    return th.shape[1] * r * r - r * r * np.exp(1j * (prev - th)).sum(axis=1)
+
+
 def circle_actions_batch(
     thetas: np.ndarray, r: float, s, phi: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,17 +116,13 @@ def circle_actions_batch(
     are computed once and shared by every radius.
     """
     th = np.asarray(thetas)
-    if th.ndim != 2:
-        raise ValueError("expected a (batch, L) angle array")
+    path_terms = circle_path_terms(th, r)
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise ValueError("s must be a scalar or a 1-D array of radii")
     # (k, 1) gives one row per radius; a scalar stays a Python float so that
     # numpy reuses the batch-sized temporaries in place, as before
     s = s[:, None] if s.ndim else float(s)
-    L = th.shape[1]
-    prev = np.roll(th, 1, axis=1)
-    path_terms = L * r * r - r * r * np.exp(1j * (prev - th)).sum(axis=1)
     end_terms = (
         2.0 * s * s
         + 2.0 * r * r * np.exp(1j * (th[:, -1] - th[:, 0]))

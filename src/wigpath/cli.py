@@ -62,8 +62,11 @@ class RunConfig:
 
 
 def _fmt(x) -> str:
+    """Format one output number; a non-finite value is an internal error."""
     if x is None:
         return ""
+    if not math.isfinite(x):
+        raise FloatingPointError(f"non-finite output value {x}")
     return f"{x:.17g}"
 
 

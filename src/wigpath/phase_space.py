@@ -86,13 +86,3 @@ def log_displaced_parity_element(alpha: complex, beta: complex, gamma: complex) 
 
 def displaced_parity_element(alpha: complex, beta: complex, gamma: complex) -> complex:
     return cmath.exp(log_displaced_parity_element(alpha, beta, gamma))
-
-
-def displaced_parity_element_reflected(alpha: complex, beta: complex, gamma: complex) -> complex:
-    """Equivalent reflection form: a phase times <beta|2 alpha - gamma>.
-
-    The phase is four times the area of the triangle (0, alpha, gamma).  Kept
-    as an independently coded route for cross-checking the direct form.
-    """
-    phase = -alpha * gamma.conjugate() + alpha.conjugate() * gamma
-    return cmath.exp(phase) * coherent_overlap(beta, 2.0 * alpha - gamma)

@@ -225,19 +225,6 @@ def hessian_matrix(sol: SaddleSolution) -> np.ndarray:
     return sol.r**2 * cmath.exp(-2j * sol.theta / (L - 1)) * m
 
 
-def single_saddle_weight(sol: SaddleSolution) -> complex:
-    """One arc's contribution factor exp(-S0) e^{i theta} (1 - e^{4 i theta})^{-1/2}.
-
-    Real constants (grid measure, partition sum, r powers) are omitted; the
-    time-reversed arc contributes the complex conjugate, so the pair sum is
-    real.
-    """
-    theta = sol.theta
-    return cmath.exp(-sol.stationary_action) * cmath.exp(1j * theta) / cmath.sqrt(
-        1.0 - cmath.exp(4j * theta)
-    )
-
-
 @lru_cache(maxsize=64)
 def _log_raw_constant(n: int, L: int) -> float:
     """ln[(2 pi)^{L/2} L^{1/2} Z_L(n + 1/2)] with the exact partition sum."""

@@ -149,28 +149,6 @@ def log_partition(params: FamilyParams) -> float:
     return params.log_z
 
 
-def hamiltonian_eigenvalue(n: int, N: float) -> float:
-    """Eigenvalue at level n of the confining Hamiltonian N + ln n! - n ln N.
-
-    rho(L, N) is the thermal state of this Hamiltonian at temperature 1/L, so
-    every family member is a physically realizable density matrix.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not N > 0:
-        raise ValueError("N must be positive")
-    return N + log_factorial(n) - n * math.log(N)
-
-
-def quadratic_approx(n: int, N: float) -> float:
-    """Stirling expansion of the eigenvalue about its minimum: a charging energy."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not N > 0:
-        raise ValueError("N must be positive")
-    return 0.5 * math.log(2.0 * math.pi * N) + (n + 0.5 - N) ** 2 / (2.0 * N)
-
-
 def wigner_poisson(alpha: complex, N: float) -> float:
     """Wigner function of the L = 1 (Poisson) member: strictly positive."""
     if not N > 0:

@@ -10,6 +10,7 @@ from wigpath.action import (
     CirclePath,
     chord_midpoint,
     circle_actions_batch,
+    circle_path_terms,
     end_action,
     path_action,
     total_action,
@@ -241,6 +242,24 @@ def test_batch_actions_array_s_equals_stacked_scalar_calls():
         ref_path, ref_totals = circle_actions_batch(thetas, r, float(s), phi)
         assert np.array_equal(path_terms, ref_path)
         assert np.array_equal(totals[i], ref_totals)
+
+
+def test_circle_path_terms_equal_batch_path_terms_bitwise():
+    rng = np.random.default_rng(33)
+    r = 1.3
+    for L in (1, 2, 5):
+        thetas = rng.uniform(0, 2 * math.pi, size=(257, L))
+        terms = circle_path_terms(thetas, r)
+        assert np.array_equal(terms, circle_actions_batch(thetas, r, 0.8, 0.4)[0])
+        assert np.array_equal(terms, circle_actions_batch(thetas, r, np.linspace(0, 2, 4))[0])
+        for i in range(0, 257, 32):
+            path = CirclePath(r, tuple(thetas[i])).vertices()
+            assert terms[i] == pytest.approx(path_action(path), rel=1e-12, abs=1e-14)
+
+
+def test_circle_path_terms_reject_1d_angles():
+    with pytest.raises(ValueError):
+        circle_path_terms(np.zeros(4), 1.0)
 
 
 def test_batch_actions_reject_2d_radii():

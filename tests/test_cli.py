@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,28 @@ def test_quadrature_kernel_underflow_exits_3(tmp_path, capsys):
         ["profile", "--state", "family", "--L", "1", "--N", "400.5", "--method", "quadrature",
          "--M", "1024", "--rmin", r, "--rmax", r, "--points", "1", "--out", str(out)]
     )
+    assert code == EXIT_INTERNAL_ERROR
+    assert "FloatingPointError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # spectral overflows to nan outside the circle from r = 19
+        ["--state", "family", "--L", "2", "--N", "100.5", "--method", "spectral",
+         "--rmin", "18", "--rmax", "20", "--points", "5"],
+        # the Laguerre recurrence of the number state overflows to nan
+        ["--state", "number", "--n", "400", "--method", "exact",
+         "--rmin", "19", "--rmax", "21", "--points", "3"],
+    ],
+    ids=["spectral", "number"],
+)
+def test_profile_non_finite_value_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["profile", *argv, "--out", str(out)])
     assert code == EXIT_INTERNAL_ERROR
     assert "FloatingPointError" in capsys.readouterr().err
     assert not out.exists()

@@ -3,6 +3,7 @@ sign diagnostics, midpoint histogram."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -371,6 +372,74 @@ def test_midpoint_histogram_empty_bin_warning():
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=32)
     with pytest.warns(UserWarning, match="bins received no samples"):
         midpoint_histogram(params, MonteCarloSpec(samples=2000, seed=0), grid)
+
+
+def reference_midpoint_histogram(params, spec, grid):
+    # per batch: the full actions of circle_actions_batch and an np.add.at scatter
+    r = params.radius
+    hist = np.zeros((grid.bins, grid.bins), dtype=complex)
+    for b, size in enumerate(spec.batch_sizes()):
+        rng = np.random.Generator(np.random.Philox(spec.seed).jumped(b))
+        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, params.L))
+        path_terms = circle_actions_batch(thetas, r, 0.0)[0]
+        mid = 0.5 * r * (np.exp(1j * thetas[:, 0]) + np.exp(1j * thetas[:, -1]))
+        np.add.at(hist, (grid.index(mid.real), grid.index(mid.imag)), np.exp(-path_terms))
+    return hist
+
+
+def dense_smoothing(hist, grid, params, samples):
+    # the (bins^2, bins^2) end-gap kernel applied to the flattened bins, in row chunks
+    c = grid.centers()
+    cx = np.repeat(c, grid.bins)
+    cy = np.tile(c, grid.bins)
+    flat = hist.real.ravel()
+    out = np.empty(grid.bins * grid.bins)
+    chunk = max(1, (1 << 22) // (grid.bins * grid.bins))
+    for start in range(0, out.size, chunk):
+        stop = min(start + chunk, out.size)
+        d2 = (cx[start:stop, None] - cx[None, :]) ** 2 + (cy[start:stop, None] - cy[None, :]) ** 2
+        out[start:stop] = np.exp(-2.0 * d2) @ flat
+    out *= 2.0 / math.pi * math.exp(-params.log_z) / samples
+    return out.reshape(grid.bins, grid.bins)
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_midpoint_histogram_equals_reference_loop(L):
+    params = FamilyParams(L, 1.5)
+    spec = MonteCarloSpec(samples=20_000, seed=9, batch_size=6_000)  # four batches
+    grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hist = midpoint_histogram(params, spec, grid)
+    assert np.array_equal(hist, reference_midpoint_histogram(params, spec, grid))
+
+
+@pytest.mark.parametrize("bins", [16, 64])
+def test_smoothed_map_matches_dense_kernel(bins):
+    params = FamilyParams(3, 1.5)
+    spec = MonteCarloSpec(samples=100_000, seed=11)
+    grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=bins)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        hist = midpoint_histogram(params, spec, grid)
+    out = smoothed_wigner_from_histogram(hist, grid, params, spec.samples)
+    ref = dense_smoothing(hist, grid, params, spec.samples)
+    assert out.shape == (bins, bins)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(out).max()
+
+
+def test_smoothed_map_memory_stays_small():
+    # the separable map needs a few (bins, bins) arrays, not a (bins^2, bins^2) kernel
+    params = FamilyParams(3, 1.5)
+    grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
+    hist = np.random.default_rng(2).normal(size=(64, 64)) + 0j
+    tracemalloc.start()
+    try:
+        smoothed_wigner_from_histogram(hist, grid, params, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_midpoint_histogram_correlates_with_exact_wigner():

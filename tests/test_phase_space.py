@@ -11,7 +11,6 @@ from wigpath.phase_space import (
     alpha_from_qp,
     coherent_overlap,
     displaced_parity_element,
-    displaced_parity_element_reflected,
     log_coherent_overlap,
     polar,
     qp_from_alpha,
@@ -105,6 +104,13 @@ def test_displaced_parity_trivial_points():
     assert displaced_parity_element(0.0, g, g) == pytest.approx(
         math.exp(-2.0 * abs(g) ** 2), rel=1e-14
     )
+
+
+def displaced_parity_element_reflected(alpha: complex, beta: complex, gamma: complex) -> complex:
+    # independently coded reflection form: a phase of four times the area of
+    # the triangle (0, alpha, gamma) times <beta|2 alpha - gamma>
+    phase = -alpha * gamma.conjugate() + alpha.conjugate() * gamma
+    return cmath.exp(phase) * coherent_overlap(beta, 2.0 * alpha - gamma)
 
 
 def test_displaced_parity_derived_example():

@@ -14,7 +14,6 @@ from wigpath.saddle import (
     hessian_log_det,
     hessian_matrix,
     interior_phase,
-    single_saddle_weight,
     solve_saddle,
     stationary_action,
     stirling_log_partition,
@@ -170,6 +169,15 @@ def test_saddle_angles_equally_spaced():
     assert np.allclose(spacing, spacing[0], rtol=1e-12)
     assert angles[0] == pytest.approx(-sol.theta, rel=1e-12)
     assert angles[-1] == pytest.approx(sol.theta, rel=1e-12)
+
+
+def single_saddle_weight(sol: SaddleSolution) -> complex:
+    # one arc's factor exp(-S0) e^{i theta} (1 - e^{4 i theta})^{-1/2}, real
+    # constants omitted; the time-reversed arc gives the complex conjugate
+    theta = sol.theta
+    return cmath.exp(-sol.stationary_action) * cmath.exp(1j * theta) / cmath.sqrt(
+        1.0 - cmath.exp(4j * theta)
+    )
 
 
 def test_time_reversed_pair_sum_is_real():

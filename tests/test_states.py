@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from wigpath.checks import radial_normalization
+from wigpath.special import log_factorial
 from wigpath.states import (
     FamilyParams,
     TruncationError,
     WignerSample,
     gaussian_convolve_p1,
-    hamiltonian_eigenvalue,
     log_partition,
-    quadratic_approx,
     weights,
     wigner_number,
     wigner_poisson,
@@ -112,6 +111,17 @@ def test_log_partition_stirling_comparison():
         assert exact == pytest.approx(peak_only + width, abs=0.02)
     gap = abs(log_partition(FamilyParams(64, N)) + 32.0 * math.log(2.0 * math.pi * (N - 1.0 / 12.0)))
     assert gap / 64.0 <= 1e-2
+
+
+def hamiltonian_eigenvalue(n: int, N: float) -> float:
+    # eigenvalue at level n of the confining Hamiltonian N + ln n! - n ln N:
+    # rho(L, N) is its thermal state at temperature 1/L
+    return N + log_factorial(n) - n * math.log(N)
+
+
+def quadratic_approx(n: int, N: float) -> float:
+    # Stirling expansion of the eigenvalue about its minimum: a charging energy
+    return 0.5 * math.log(2.0 * math.pi * N) + (n + 0.5 - N) ** 2 / (2.0 * N)
 
 
 def test_hamiltonian_eigenvalue_examples():
