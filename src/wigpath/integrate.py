@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import Generator, Philox  # numpy loads this submodule lazily otherwise
 
 from .action import circle_actions_batch, circle_path_terms
 from .states import _WIGNER_BOUND, FamilyParams, WignerSample
@@ -181,7 +182,7 @@ def _mc_batch_stats(
     per block.  Every reduction runs along the sample axis, so each radius is
     summed exactly as a single-radius call would sum it.
     """
-    rng = np.random.Generator(np.random.Philox(seed).jumped(batch_index))
+    rng = Generator(Philox(seed).jumped(batch_index))
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, L))
     per_block = max(1, _BLOCK_ENTRIES // size)
     sums = []
@@ -333,7 +334,7 @@ def midpoint_histogram(
     r = params.radius
     hist = np.zeros((grid.bins, grid.bins), dtype=complex)
     for b, size in enumerate(spec.batch_sizes()):
-        rng = np.random.Generator(np.random.Philox(spec.seed).jumped(b))
+        rng = Generator(Philox(spec.seed).jumped(b))
         thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, params.L))
         path_terms = circle_path_terms(thetas, r)
         mid = 0.5 * r * (np.exp(1j * thetas[:, 0]) + np.exp(1j * thetas[:, -1]))

@@ -149,12 +149,20 @@ def log_partition(params: FamilyParams) -> float:
     return params.log_z
 
 
+def _finite(value: float, what: str) -> float:
+    """Return a closed-form value; the nan or inf of an overflowed sum raises."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite {what} Wigner value {value!r}")
+    return value
+
+
 def wigner_poisson(alpha: complex, N: float) -> float:
     """Wigner function of the L = 1 (Poisson) member: strictly positive."""
     if not N > 0:
         raise ValueError("N must be positive")
     s = abs(alpha)
-    return _WIGNER_BOUND * math.exp(-2.0 * s * s - 2.0 * N + log_bessel_i0(4.0 * math.sqrt(N) * s))
+    value = _WIGNER_BOUND * math.exp(-2.0 * s * s - 2.0 * N + log_bessel_i0(4.0 * math.sqrt(N) * s))
+    return _finite(value, "Poisson")
 
 
 def wigner_number(alpha: complex, n: int) -> float:
@@ -163,7 +171,8 @@ def wigner_number(alpha: complex, n: int) -> float:
         raise ValueError("n must be non-negative")
     s2 = alpha.real**2 + alpha.imag**2
     sign = -1.0 if n % 2 else 1.0
-    return _WIGNER_BOUND * sign * math.exp(-2.0 * s2) * laguerre_all(n, 4.0 * s2)[n]
+    value = _WIGNER_BOUND * sign * math.exp(-2.0 * s2) * laguerre_all(n, 4.0 * s2)[n]
+    return _finite(value, "number-state")
 
 
 def wigner_spectral(alpha: complex, params: FamilyParams) -> float:
@@ -177,7 +186,8 @@ def wigner_spectral(alpha: complex, params: FamilyParams) -> float:
     n = np.arange(params.n_max + 1)
     signs = np.where(n % 2 == 0, 1.0, -1.0)
     lag = laguerre_all(params.n_max, 4.0 * s2)
-    return float(_WIGNER_BOUND * math.exp(-2.0 * s2) * (params.weight_array * signs * lag).sum())
+    value = float(_WIGNER_BOUND * math.exp(-2.0 * s2) * (params.weight_array * signs * lag).sum())
+    return _finite(value, "spectral")
 
 
 def gaussian_convolve_p1(

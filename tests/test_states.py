@@ -1,6 +1,7 @@
 """State-family tests: weights, partition sums, closed-form Wigner functions."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from wigpath.checks import radial_normalization
 from wigpath.special import log_factorial
 from wigpath.states import (
     FamilyParams,
+    QuadratureConvergenceError,
     TruncationError,
     WignerSample,
     gaussian_convolve_p1,
@@ -222,14 +224,39 @@ def test_origin_sign_parity():
 
 
 def test_normalization_radial():
+    params = FamilyParams(3, 1.5)
     cases = [
-        (lambda s: wigner_poisson(complex(s), 1.0), math.sqrt(24.0) + 6.0),
-        (lambda s: wigner_number(complex(s), 1), 7.0),
-        (lambda s: wigner_spectral(complex(s), FamilyParams(3, 1.5)), 12.0),
+        (lambda rs: [wigner_poisson(complex(s), 1.0) for s in rs], math.sqrt(24.0) + 6.0),
+        (lambda rs: [wigner_number(complex(s), 1) for s in rs], 7.0),
+        (lambda rs: [wigner_spectral(complex(s), params) for s in rs], 12.0),
     ]
     for profile, s_max in cases:
         integral, _ = radial_normalization(profile, s_max)
         assert integral == pytest.approx(1.0, abs=1e-6)
+
+
+def test_radial_normalization_closed_form_mass():
+    # 2 pi int_0^a (2/pi) e^{-2 s^2} s ds = 1 - e^{-2 a^2}
+    s_max = 1.5
+    integral, err = radial_normalization(lambda rs: 2.0 / math.pi * np.exp(-2.0 * rs**2), s_max)
+    assert integral == pytest.approx(1.0 - math.exp(-2.0 * s_max**2), abs=1e-13)
+    assert err <= 1e-12
+
+
+def test_radial_normalization_unconverged_rule_raises():
+    # a step converges only as a power of the node count
+    with pytest.raises(QuadratureConvergenceError) as info:
+        radial_normalization(lambda rs: (rs < 1.0).astype(float), 2.5)
+    assert info.value.achieved > 1e-12
+
+
+def test_closed_forms_raise_on_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(FloatingPointError):
+            wigner_number(20.0 + 0j, 400)
+        with pytest.raises(FloatingPointError):
+            wigner_spectral(19.0 + 0j, FamilyParams(2, 100.5))
 
 
 def hermite_density_oracle(n: int, q: float) -> float:
