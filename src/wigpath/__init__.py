@@ -42,14 +42,12 @@ from .saddle import (
     wigner_saddle,
     wigner_wkb,
 )
-from .special import bessel_i0, log_bessel_i0, log_factorial
+from .special import log_bessel_i0, log_factorial
 from .states import (
     FamilyParams,
     TruncationError,
     WignerSample,
     gaussian_convolve_p1,
-    log_partition,
-    weights,
     wigner_number,
     wigner_poisson,
     wigner_spectral,
@@ -72,7 +70,6 @@ __all__ = [
     "TruncationError",
     "WignerSample",
     "alpha_from_qp",
-    "bessel_i0",
     "chord_midpoint",
     "coherent_overlap",
     "displaced_parity_element",
@@ -83,7 +80,6 @@ __all__ = [
     "log_coherent_overlap",
     "log_displaced_parity_element",
     "log_factorial",
-    "log_partition",
     "midpoint_histogram",
     "path_action",
     "polar",
@@ -93,7 +89,6 @@ __all__ = [
     "stationary_action",
     "stirling_log_partition",
     "total_action",
-    "weights",
     "wigner_montecarlo",
     "wigner_number",
     "wigner_poisson",

@@ -88,8 +88,7 @@ def check_oracle(points: int = 20, M: int = 128) -> list[CheckResult]:
         params = FamilyParams(L, N)
         rs = np.linspace(0.0, math.sqrt(N) + 2.0, points)
         worst = 0.0
-        for s, q in zip(rs, wigner_quadrature(rs, params, spec)):
-            ws = wigner_spectral(complex(s), params)
+        for q, ws in zip(wigner_quadrature(rs, params, spec), wigner_spectral(rs, params)):
             tol = 1e-6 * max(abs(ws), 0.01)
             worst = max(worst, abs(q.value - ws) / tol)
         out.append(
@@ -103,25 +102,14 @@ def check_oracle(points: int = 20, M: int = 128) -> list[CheckResult]:
 
 
 def _normalization_cases() -> list[tuple[str, object, float]]:
-    """(label, radial profile of an array of radii, s_max) triples for the six states.
-
-    The closed forms are mapped over the radii; quadrature takes them in one call.
-    """
+    """(label, radial profile of an array of radii, s_max) triples for the six states."""
     qspec = QuadratureSpec()
     cases: list[tuple[str, object, float]] = []
     for N in (1.0, 10.5):
         s_max = math.sqrt(math.ceil(4 * N + 20)) + 6.0
-        cases.append(
-            (f"poisson N={N}", lambda rs, N=N: [wigner_poisson(complex(s), N) for s in rs], s_max)
-        )
+        cases.append((f"poisson N={N}", lambda rs, N=N: wigner_poisson(rs, N), s_max))
     for n in (1, 10):
-        cases.append(
-            (
-                f"number n={n}",
-                lambda rs, n=n: [wigner_number(complex(s), n) for s in rs],
-                math.sqrt(n) + 6.0,
-            )
-        )
+        cases.append((f"number n={n}", lambda rs, n=n: wigner_number(rs, n), math.sqrt(n) + 6.0))
     fam = FamilyParams(3, 1.5)
     cases.append(
         (
@@ -131,13 +119,8 @@ def _normalization_cases() -> list[tuple[str, object, float]]:
         )
     )
     fam2 = FamilyParams(2, 10.5)
-    cases.append(
-        (
-            "family L=2 N=10.5 spectral",
-            lambda rs: [wigner_spectral(complex(s), fam2) for s in rs],
-            math.sqrt(fam2.n_max) + 6.0,
-        )
-    )
+    s_max = math.sqrt(fam2.n_max) + 6.0
+    cases.append(("family L=2 N=10.5 spectral", lambda rs: wigner_spectral(rs, fam2), s_max))
     return cases
 
 

@@ -118,81 +118,95 @@ def _emit(output: str | None, name: str, text: str, config: dict, started: float
     return path
 
 
-def _profile_evaluator(cfg: RunConfig):
-    """Return (callable rs -> [(value, stderr, region), ...], method label)."""
-    state, method = cfg.state, cfg.method
-    if state == "poisson":
-        if method != "exact":
-            raise ConfigError("state 'poisson' supports --method exact (its closed form)")
+def _state_argument(cfg: RunConfig):
+    """The checked state argument of a profile route: N, n or FamilyParams."""
+    if cfg.state == "poisson":
         if cfg.N is None or not cfg.N > 0:
             raise ConfigError("state 'poisson' needs a positive --N (mean occupation)")
-        return _per_point(lambda r: (wigner_poisson(complex(r), cfg.N), None, "")), "exact"
-
-    if state == "number":
+        return cfg.N
+    if cfg.state == "number":
         if cfg.n is None or cfg.n < 0:
             raise ConfigError("state 'number' needs a non-negative --n (the level)")
-        if method == "exact":
-            return _per_point(lambda r: (wigner_number(complex(r), cfg.n), None, "")), "exact"
-        if method in ("saddle", "wkb"):
-            L = cfg.L if cfg.L is not None else 512
-            if L < 1:
-                raise ConfigError("the number-state saddle needs --L >= 1")
-
-            def eval_asym(r: float):
-                try:
-                    if method == "saddle":
-                        val = wigner_saddle(complex(r), cfg.n, L=L, normalization=cfg.normalization).value
-                    else:
-                        val = wigner_wkb(complex(r), cfg.n)
-                    return val, None, ""
-                except RegionError as exc:
-                    return None, None, exc.region
-
-            return _per_point(eval_asym), method
-        raise ConfigError("state 'number' supports --method exact, saddle or wkb")
-
-    if state == "family":
-        if cfg.L is None or cfg.N is None:
-            raise ConfigError("state 'family' needs --L and --N")
-        params = FamilyParams(cfg.L, cfg.N)
-        if method == "spectral":
-            return _per_point(lambda r: (wigner_spectral(complex(r), params), None, "")), "spectral"
-        if method == "quadrature":
-            qspec = QuadratureSpec(points_per_dim=cfg.M)
-            qspec.check_budget(params.L)
-            return lambda rs: [
-                (res.value, None, "") for res in wigner_quadrature(rs, params, qspec)
-            ], "quadrature"
-        if method == "mc":
-            mspec = MonteCarloSpec(
-                cfg.samples, seed=cfg.seed, workers=cfg.workers, batch_size=cfg.batch_size
-            )
-
-            def eval_mc(rs: np.ndarray):
-                # one pass over the batches serves every radius; --workers splits the batches
-                results = wigner_montecarlo(rs, params, mspec)
-                return [(res.value, res.standard_error, "") for res in results]
-
-            return eval_mc, "mc"
-        raise ConfigError(
-            "state 'family' supports --method spectral, quadrature or mc "
-            "(there is no single closed form)"
-        )
-
-    raise ConfigError(f"unknown state {state!r}; choose poisson, number or family")
+        return cfg.n
+    if cfg.L is None or cfg.N is None:
+        raise ConfigError("state 'family' needs --L and --N")
+    return FamilyParams(cfg.L, cfg.N)
 
 
-def _per_point(one):
-    """Map a per-radius evaluator over the radii."""
-    return lambda rs: [one(float(r)) for r in rs]
+def _asymptotic_values(one, rs: np.ndarray) -> tuple[list, list[str]]:
+    """An asymptotic route at each radius: (values, regions), with None and
+    the region's name where the route raises RegionError."""
+    values, regions = [], []
+    for r in rs:
+        try:
+            values.append(one(complex(r)))
+            regions.append("")
+        except RegionError as exc:
+            values.append(None)
+            regions.append(exc.region)
+    return values, regions
+
+
+def _asymptotic_route(cfg: RunConfig, n: int):
+    L = cfg.L if cfg.L is not None else 512
+    if L < 1:
+        raise ConfigError("the number-state saddle needs --L >= 1")
+
+    def one(a: complex) -> float:
+        if cfg.method == "saddle":
+            return wigner_saddle(a, n, L=L, normalization=cfg.normalization).value
+        return wigner_wkb(a, n)
+
+    return lambda rs: [(v, None, region) for v, region in zip(*_asymptotic_values(one, rs))]
+
+
+def _quadrature_route(cfg: RunConfig, params: FamilyParams):
+    spec = QuadratureSpec(points_per_dim=cfg.M)
+    spec.check_budget(params.L)
+    return lambda rs: _sample_rows(wigner_quadrature(rs, params, spec))
+
+
+def _montecarlo_route(cfg: RunConfig, params: FamilyParams):
+    spec = MonteCarloSpec(
+        cfg.samples, seed=cfg.seed, workers=cfg.workers, batch_size=cfg.batch_size
+    )
+    return lambda rs: _sample_rows(wigner_montecarlo(rs, params, spec))
+
+
+def _exact_rows(values) -> list[tuple]:
+    return [(v, None, "") for v in values]
+
+
+def _sample_rows(results) -> list[tuple]:
+    return [(res.value, res.standard_error, "") for res in results]
+
+
+# (state, method) -> builder, which checks the config and the state argument
+# (N, n or FamilyParams) and returns the evaluator rs -> [(value, stderr,
+# region), ...] of all radii.  Evaluators look the routes up in this module
+# when they run, so a replaced or wrapped name is the one called.
+_PROFILE_ROUTES = {
+    ("poisson", "exact"): lambda cfg, N: lambda rs: _exact_rows(wigner_poisson(rs, N)),
+    ("number", "exact"): lambda cfg, n: lambda rs: _exact_rows(wigner_number(rs, n)),
+    ("number", "saddle"): _asymptotic_route,
+    ("number", "wkb"): _asymptotic_route,
+    ("family", "spectral"): lambda cfg, params: lambda rs: _exact_rows(wigner_spectral(rs, params)),
+    ("family", "quadrature"): _quadrature_route,
+    ("family", "mc"): _montecarlo_route,
+}
 
 
 def _profile_rows(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
     with _input_stage():
-        evaluate, label = _profile_evaluator(cfg)
+        methods = [method for state, method in _PROFILE_ROUTES if state == cfg.state]
+        if not methods:
+            raise ConfigError(f"unknown state {cfg.state!r}; choose poisson, number or family")
+        if cfg.method not in methods:
+            raise ConfigError(f"state {cfg.state!r} supports --method {', '.join(methods)}")
+        evaluate = _PROFILE_ROUTES[cfg.state, cfg.method](cfg, _state_argument(cfg))
         rs = np.linspace(cfg.r_min, cfg.r_max, cfg.points)
     rows = [
-        [_fmt(r), _fmt(value), label, _fmt(stderr), region]
+        [_fmt(r), _fmt(value), cfg.method, _fmt(stderr), region]
         for r, (value, stderr, region) in zip(rs, evaluate(rs))
     ]
     return ["r", "W", "method", "stderr", "region"], rows
@@ -229,18 +243,10 @@ def _interpolate_gaps(rs: np.ndarray, vals: list, regions: list[str]) -> tuple[l
 
 def _figure2_panels(n: int, rs: np.ndarray, L: int) -> dict:
     """label -> (W values, method, regions) of one level's exact, saddle and
-    Poisson panels, as floats."""
-    exact = [wigner_number(complex(r), n) for r in rs]
-    poisson = [wigner_poisson(complex(r), n + 0.5) for r in rs]
-    saddle: list = []
-    regions: list[str] = []
-    for r in rs:
-        try:
-            saddle.append(wigner_saddle(complex(r), n, L=L).value)
-            regions.append("")
-        except RegionError as exc:
-            saddle.append(None)
-            regions.append(exc.region)
+    Poisson panels."""
+    exact = wigner_number(rs, n)
+    poisson = wigner_poisson(rs, n + 0.5)
+    saddle, regions = _asymptotic_values(lambda a: wigner_saddle(a, n, L=L).value, rs)
     saddle, regions = _interpolate_gaps(rs, saddle, regions)
     blank = [""] * len(rs)
     return {
@@ -288,6 +294,8 @@ def cmd_check(suite: str, output: str | None, **kwargs) -> int:
     started = time.time()
     if kwargs:  # the sign suite's options
         with _input_stage():
+            if kwargs["L_max"] < 1:
+                raise ConfigError("the sign suite needs --L-max >= 1")
             MonteCarloSpec(kwargs["samples"], seed=kwargs["seed"])
     report = run_suite(suite, **kwargs)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -348,6 +356,8 @@ def cmd_mc_diag(
 ) -> int:
     started = time.time()
     with _input_stage():
+        if L_min > L_max:
+            raise ConfigError("mc-diag needs --L-min <= --L-max")
         spec = MonteCarloSpec(samples, seed=seed, workers=workers)
         members = [FamilyParams(L, N) for L in range(L_min, L_max + 1)]
     header = ["L", "estimate", "stderr", "mean_phase_magnitude", "phase_stderr", "ess"]

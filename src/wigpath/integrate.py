@@ -34,7 +34,7 @@ import numpy as np
 from numpy.random import Generator, Philox  # numpy loads this submodule lazily otherwise
 
 from .action import circle_actions_batch, circle_path_terms
-from .states import _WIGNER_BOUND, FamilyParams, WignerSample
+from .states import _WIGNER_BOUND, FamilyParams, WignerSample, _points
 
 _IMAG_RESIDUE_TOL = 1e-10
 # (radius, sample) entries per block of the Monte Carlo temporaries
@@ -74,7 +74,8 @@ class QuadratureSpec:
         if self.points_per_dim**L > self.budget:
             raise BudgetError(
                 f"M^L = {self.points_per_dim}^{L} exceeds the evaluation budget "
-                f"{self.budget}; lower M or L, or raise the budget explicitly"
+                f"{self.budget}; lower M or L, or from the library pass a larger "
+                "QuadratureSpec(budget=...)"
             )
 
 
@@ -141,10 +142,8 @@ def wigner_quadrature(
     a bug rather than a numerical limit).
     """
     spec.check_budget(params.L)
-    points = np.asarray(alpha)
-    if points.ndim > 1:
-        raise ValueError("alpha must be a scalar or a 1-D array of points")
-    flat = points.reshape(-1).astype(complex)
+    points, scalar = _points(alpha)
+    flat = np.array(points, dtype=complex)
     M = spec.points_per_dim
     r = params.radius
     B, abs_B = _circle_kernel(r, params.L, M)
@@ -168,7 +167,7 @@ def wigner_quadrature(
                     f"(incoherent scale {inc:.3e}) at alpha = {a:.6g}"
                 )
             results.append(WignerSample(complex(a), scale * float(z.real), "quadrature"))
-    return results if points.ndim else results[0]
+    return results[0] if scalar else results
 
 
 def _mc_batch_stats(
@@ -187,14 +186,13 @@ def _mc_batch_stats(
     per_block = max(1, _BLOCK_ENTRIES // size)
     sums = []
     for lo in range(0, len(s), per_block):
-        path_terms, totals = circle_actions_batch(thetas, r, s[lo : lo + per_block])
+        _, totals = circle_actions_batch(thetas, r, s[lo : lo + per_block])
         # in place: one complex and one real block array are alive at a time
         mag = np.negative(totals.real)
         np.exp(mag, out=mag)
         w = np.exp(np.negative(totals, out=totals), out=totals)
         sums += zip(w.sum(axis=1), (w.real**2).sum(axis=1), mag.sum(axis=1), (mag**2).sum(axis=1))
-    path_sum = complex(np.exp(-path_terms).sum())
-    return [(size, complex(a), float(b), float(c), float(d), path_sum) for a, b, c, d in sums]
+    return [(size, complex(a), float(b), float(c), float(d)) for a, b, c, d in sums]
 
 
 def _batch_stats_list(params: FamilyParams, spec: MonteCarloSpec, s: np.ndarray) -> list[list[tuple]]:
@@ -213,26 +211,19 @@ def _weighted_batch_se(batch_means: np.ndarray, batch_weights: np.ndarray) -> fl
     return math.sqrt(var * b / (b - 1))
 
 
-def _mc_result(
-    alpha: complex, stats: list[tuple], params: FamilyParams, z_route: str
-) -> WignerSample:
+def _mc_result(alpha: complex, stats: list[tuple], params: FamilyParams) -> WignerSample:
     """Combine the per-batch statistics of one point, in batch order."""
     n = sum(st[0] for st in stats)
     sum_w = sum(st[1] for st in stats)
     sum_w_re2 = sum(st[2] for st in stats)
     sum_mag = sum(st[3] for st in stats)
     sum_mag2 = sum(st[4] for st in stats)
-    sum_path = sum(st[5] for st in stats)
 
     scale = _WIGNER_BOUND * math.exp(-params.log_z)
     sizes = np.array([st[0] for st in stats], dtype=float)
     weights = sizes / n
-    if z_route == "exact":
-        estimate = scale * sum_w.real / n
-        batch_means = np.array([scale * st[1].real / st[0] for st in stats])
-    else:
-        estimate = _WIGNER_BOUND * sum_w.real / sum_path.real
-        batch_means = np.array([_WIGNER_BOUND * st[1].real / st[5].real for st in stats])
+    estimate = scale * sum_w.real / n
+    batch_means = np.array([scale * st[1].real / st[0] for st in stats])
 
     if len(stats) > 1:
         se = _weighted_batch_se(batch_means, weights)
@@ -263,10 +254,7 @@ def _mc_result(
 
 
 def wigner_montecarlo(
-    alpha,
-    params: FamilyParams,
-    spec: MonteCarloSpec,
-    z_route: str = "exact",
+    alpha, params: FamilyParams, spec: MonteCarloSpec
 ) -> WignerSample | list[WignerSample]:
     """Monte Carlo estimate of W(L, N) at alpha by uniform torus sampling.
 
@@ -274,26 +262,15 @@ def wigner_montecarlo(
     points, giving one WignerSample per point in input order.  One set of
     draws serves every point, and the result at each point is bit-identical
     to a single-point call there.  Each sample carries the standard error and
-    the sign-problem diagnostics.
-
-    z_route selects the partition-sum normalization: "exact" divides by the
-    number-basis Z(L, N) (default, exact and noise-free), "angular" divides by
-    the same-sample estimate of the closed-path integral, which shares
-    fluctuations with the numerator.
+    the sign-problem diagnostics.  The estimate divides by the exact
+    number-basis partition sum Z(L, N).
     """
-    if z_route not in ("exact", "angular"):
-        raise ValueError(f"unknown z_route {z_route!r}")
-    points = np.asarray(alpha)
-    if points.ndim > 1:
-        raise ValueError("alpha must be a scalar or a 1-D array of points")
-    flat = points.reshape(-1)
-    if not flat.size:
+    points, scalar = _points(alpha)
+    if not points:
         return []
-    per_batch = _batch_stats_list(params, spec, np.abs(flat))
-    results = [
-        _mc_result(complex(a), stats, params, z_route) for a, stats in zip(flat, zip(*per_batch))
-    ]
-    return results if points.ndim else results[0]
+    per_batch = _batch_stats_list(params, spec, np.abs(np.array(points)))
+    results = [_mc_result(a, stats, params) for a, stats in zip(points, zip(*per_batch))]
+    return results[0] if scalar else results
 
 
 @dataclass(frozen=True)

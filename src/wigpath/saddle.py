@@ -281,9 +281,8 @@ def wigner_saddle(
     branch = _check_zones(s, r)
 
     quarter = (s * s * abs(r2 - s * s)) ** 0.25
-    log_c = _log_raw_constant(n, L)
     if normalization == "raw":
-        log_amp = -log_c - math.log(quarter)
+        log_amp = -_log_raw_constant(n, L) - math.log(quarter)
     else:
         log_amp = math.log(_WKB_AMPLITUDE) - math.log(quarter)
 

@@ -21,15 +21,6 @@ _LOGFACT_CAP = 1_000_000
 _logfact_table = np.zeros(1)
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0(x) for x >= 0.
-
-    Overflows for x >~ 709; callers needing large arguments must use
-    :func:`log_bessel_i0`.
-    """
-    return math.exp(log_bessel_i0(x))
-
-
 def log_bessel_i0(x: float) -> float:
     """ln I0(x), stable for x up to at least 1e4."""
     if x < 0:
@@ -68,11 +59,14 @@ def _i0_asymptotic_factor(x: float) -> float:
     return total
 
 
-def laguerre_all(n_max: int, x: float) -> np.ndarray:
-    """All of L_0(x) .. L_nmax(x) in one pass of the forward three-term recurrence."""
+def laguerre_all(n_max: int, x) -> np.ndarray:
+    """All of L_0(x) .. L_nmax(x) in one pass of the forward three-term recurrence.
+
+    x is a float or a float array; the result has shape (n_max + 1, *np.shape(x)).
+    """
     if n_max < 0:
         raise ValueError("Laguerre order must be non-negative")
-    out = np.empty(n_max + 1)
+    out = np.empty((n_max + 1, *np.shape(x)))
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 1.0 - x

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wigpath import cli
@@ -206,9 +207,9 @@ def test_profile_non_finite_value_exits_3(tmp_path, capsys, argv):
 def test_value_error_during_run_exits_3(tmp_path, monkeypatch, capsys):
     # a ValueError raised while values are computed is a run error, not a config error
     def broken(alpha, params):
-        if abs(alpha) > 1.0:
+        if (np.abs(alpha) > 1.0).any():
             raise ValueError("mid-profile failure")
-        return 0.0
+        return np.zeros(len(alpha))
 
     monkeypatch.setattr(cli, "wigner_spectral", broken)
     out = tmp_path / "s.csv"
@@ -327,6 +328,13 @@ def test_check_sign_trend(tmp_path):
     assert [row["L"] for row in rows] == [1, 2, 3]
 
 
+def test_check_sign_empty_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "sign.json"
+    assert main(["check", "sign", "--L-max", "0", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "--L-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_all_forwards_sign_options(tmp_path):
     out = tmp_path / "all.json"
     main(["check", "all", "--samples", "2000", "--L-max", "2", "--seed", "3", "--out", str(out)])
@@ -372,6 +380,14 @@ def test_mc_diag(tmp_path):
     phases = [float(row[3]) for row in rows]
     assert phases[0] == pytest.approx(1.0, abs=1e-12)
     assert all(p > 0.0 for p in phases)
+
+
+def test_mc_diag_empty_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "diag.csv"
+    code = main(["mc-diag", "--N", "1.5", "--L-min", "3", "--L-max", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    assert "--L-min" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_json_output_mirrors_numbers_as_strings(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wigpath import integrate
-from wigpath.action import CirclePath, circle_actions_batch, total_action
+from wigpath.action import CirclePath, circle_actions_batch, circle_path_terms, total_action
 from wigpath.integrate import (
     BudgetError,
     MidpointGrid,
@@ -46,8 +46,12 @@ def test_quadrature_spec_validation():
 
 def test_budget_guard():
     spec = QuadratureSpec(points_per_dim=128)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         wigner_quadrature(0.5 + 0j, FamilyParams(5, 1.5), spec)
+    # the message names only steps a caller can take: the CLI has no budget flag
+    assert "lower M or L" in str(err.value)
+    assert "QuadratureSpec(budget=...)" in str(err.value)
+    assert "explicitly" not in str(err.value)
     # 32^6 = 2^30 sits exactly at the default budget
     QuadratureSpec(points_per_dim=32).check_budget(6)
 
@@ -212,12 +216,18 @@ def test_montecarlo_consistent_with_quadrature():
 
 
 def test_montecarlo_z_routes_agree():
+    # the closed-path integral estimated on a Monte Carlo run's own draws, the
+    # mean of exp(-path term), agrees with the exact number-basis Z(L, N)
     params = FamilyParams(2, 1.5)
     spec = MonteCarloSpec(samples=400_000, seed=9)
-    exact = wigner_montecarlo(0.6 + 0j, params, spec, z_route="exact")
-    angular = wigner_montecarlo(0.6 + 0j, params, spec, z_route="angular")
-    sigma = math.hypot(exact.standard_error, angular.standard_error)
-    assert abs(exact.value - angular.value) <= 4.0 * sigma
+    w = np.concatenate(
+        [
+            np.exp(-circle_path_terms(batch_angles(spec, b, size, params.L), params.radius))
+            for b, size in enumerate(spec.batch_sizes())
+        ]
+    ).real
+    se = w.std(ddof=1) / math.sqrt(w.size)
+    assert abs(w.mean() - math.exp(params.log_z)) <= 4.0 * se
 
 
 def test_montecarlo_phase_is_unity_for_single_slice():
@@ -238,21 +248,24 @@ def test_mean_phase_magnitude_non_increasing_in_l():
         assert b.mean_phase_magnitude > 0.0
 
 
-def per_radius_reference(s, params, spec, z_route):
+def batch_angles(spec, b, size, L):
+    """The (size, L) angles of batch b, drawn from its own Philox stream."""
+    rng = np.random.Generator(np.random.Philox(spec.seed).jumped(b))
+    return rng.uniform(0.0, 2.0 * math.pi, size=(size, L))
+
+
+def per_radius_reference(s, params, spec):
     """Single-radius estimator written out as the per-radius route computes it:
     draw each batch from its own Philox stream, evaluate the actions at one
     radius, reduce over the samples, then combine the batches in order."""
-    r = params.radius
     stats = []
     for b, size in enumerate(spec.batch_sizes()):
-        rng = np.random.Generator(np.random.Philox(spec.seed).jumped(b))
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, params.L))
-        path_terms, totals = circle_actions_batch(thetas, r, s)
+        _, totals = circle_actions_batch(batch_angles(spec, b, size, params.L), params.radius, s)
         w = np.exp(-totals)
         mag = np.exp(-totals.real)
         stats.append(
             (size, complex(w.sum()), float((w.real**2).sum()), float(mag.sum()),
-             float((mag**2).sum()), complex(np.exp(-path_terms).sum()))
+             float((mag**2).sum()))
         )
     n = sum(st[0] for st in stats)
     sum_w = sum(st[1] for st in stats)
@@ -265,12 +278,8 @@ def per_radius_reference(s, params, spec, z_route):
         var = float((weights**2 * (means - mean) ** 2).sum())
         return math.sqrt(var * len(means) / (len(means) - 1))
 
-    if z_route == "exact":
-        estimate = scale * sum_w.real / n
-        means = np.array([scale * st[1].real / st[0] for st in stats])
-    else:
-        estimate = (2.0 / math.pi) * sum_w.real / sum(st[5] for st in stats).real
-        means = np.array([(2.0 / math.pi) * st[1].real / st[5].real for st in stats])
+    estimate = scale * sum_w.real / n
+    means = np.array([scale * st[1].real / st[0] for st in stats])
     if len(stats) > 1:
         se = batch_se(means)
         phase_se = batch_se(np.array([min(1.0, abs(st[1]) / st[3]) for st in stats]))
@@ -289,7 +298,6 @@ def per_radius_reference(s, params, spec, z_route):
     )
 
 
-@pytest.mark.parametrize("z_route", ["exact", "angular"])
 @pytest.mark.parametrize(
     "spec",
     [
@@ -299,13 +307,13 @@ def per_radius_reference(s, params, spec, z_route):
     ],
     ids=["workers1", "workers3", "single_batch"],
 )
-def test_montecarlo_array_call_bit_identical_to_per_radius_reference(spec, z_route):
+def test_montecarlo_array_call_bit_identical_to_per_radius_reference(spec):
     params = FamilyParams(3, 1.5)
     radii = np.linspace(0.0, 2.7, 6)
-    results = wigner_montecarlo(radii.astype(complex), params, spec, z_route=z_route)
+    results = wigner_montecarlo(radii.astype(complex), params, spec)
     assert len(results) == len(radii)
     for s, got in zip(radii, results):
-        assert got == per_radius_reference(float(s), params, spec, z_route)
+        assert got == per_radius_reference(float(s), params, spec)
 
 
 def test_montecarlo_scalar_call_is_one_point_array_call():
@@ -321,9 +329,9 @@ def test_montecarlo_radius_blocks_do_not_change_results(monkeypatch):
     params = FamilyParams(2, 1.5)
     spec = MonteCarloSpec(samples=8_000, seed=4, batch_size=1_000)
     points = np.array([0.3 + 0.4j, -1.1j, 2.0, 0.7 - 0.2j, 1.3 + 1j])
-    whole = wigner_montecarlo(points, params, spec, z_route="angular")
+    whole = wigner_montecarlo(points, params, spec)
     monkeypatch.setattr(integrate, "_BLOCK_ENTRIES", 2_000)  # blocks of two radii
-    assert wigner_montecarlo(points, params, spec, z_route="angular") == whole
+    assert wigner_montecarlo(points, params, spec) == whole
 
 
 def test_montecarlo_rejects_2d_points():

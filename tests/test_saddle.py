@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from wigpath import saddle
 from wigpath.saddle import (
     RegionError,
     SaddleSolution,
@@ -249,6 +250,16 @@ def test_raw_normalization_diverges_with_l():
     assert big > 1e100 * small
     with pytest.raises(OverflowError, match="wkb-matched"):
         wigner_saddle(2.0 + 0j, 10, L=800, normalization="raw")
+
+
+def test_matched_saddle_does_not_build_the_raw_constant(monkeypatch):
+    def unused(n, L):
+        raise RuntimeError("raw constant built")
+
+    monkeypatch.setattr(saddle, "_log_raw_constant", unused)
+    assert math.isfinite(wigner_saddle(2.0 + 0j, 10, L=512).value)
+    with pytest.raises(RuntimeError, match="raw constant built"):
+        wigner_saddle(2.0 + 0j, 10, L=512, normalization="raw")
 
 
 def test_wkb_phase_origin_limit():

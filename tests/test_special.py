@@ -9,12 +9,16 @@ import pytest
 from wigpath.special import (
     _i0_asymptotic_factor,
     _i0_series,
-    bessel_i0,
     laguerre_all,
     log_bessel_i0,
     log_factorial,
     log_factorials,
 )
+
+
+def bessel_i0(x: float) -> float:
+    # I0 itself, which overflows for x >~ 709 where its log does not
+    return math.exp(log_bessel_i0(x))
 
 
 def i0_series_oracle(x: float, terms: int = 60) -> float:
@@ -111,6 +115,12 @@ def test_laguerre_all_matches_scalar():
     for n in range(26):
         assert vals[n] == laguerre(n, x)
         assert vals[n] == pytest.approx(laguerre_sum_oracle(n, x), rel=1e-13)
+    # an array of arguments gives one column per argument, each as its scalar pass
+    xs = np.array([0.0, x, 12.5])
+    grid = laguerre_all(25, xs)
+    assert grid.shape == (26, 3)
+    for j, xj in enumerate(xs):
+        assert grid[:, j].tolist() == laguerre_all(25, float(xj)).tolist()
 
 
 def test_laguerre_rejects_negative_order():

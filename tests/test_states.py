@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wigpath import states
 from wigpath.checks import radial_normalization
 from wigpath.special import log_factorial
 from wigpath.states import (
@@ -15,8 +16,6 @@ from wigpath.states import (
     TruncationError,
     WignerSample,
     gaussian_convolve_p1,
-    log_partition,
-    weights,
     wigner_number,
     wigner_poisson,
     wigner_spectral,
@@ -27,7 +26,7 @@ W_REF_L3_N15_S08 = 0.14815519878740827  # 200-term spectral sum, frozen
 
 
 def test_weights_poisson_case():
-    w = dict(weights(FamilyParams(1, 1.0)))
+    w = dict(enumerate(FamilyParams(1, 1.0).weight_array))
     assert w[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert w[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert w[2] == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-12)
@@ -38,7 +37,7 @@ def test_weights_l2_direct_oracle():
     # n = 60 are below 1e-100 of the peak)
     raw = [(1.5**n / math.factorial(n)) ** 2 for n in range(60)]
     norm = sum(raw)
-    w = dict(weights(FamilyParams(2, 1.5)))
+    w = dict(enumerate(FamilyParams(2, 1.5).weight_array))
     for n in range(20):
         assert w[n] == pytest.approx(raw[n] / norm, rel=1e-12)
 
@@ -94,10 +93,10 @@ def test_integer_n_flagged():
 
 
 def test_log_partition_trivial_and_bessel():
-    assert log_partition(FamilyParams(1, 0.7)) == pytest.approx(0.0, abs=1e-12)
-    assert log_partition(FamilyParams(1, 12.3)) == pytest.approx(0.0, abs=1e-12)
+    assert FamilyParams(1, 0.7).log_z == pytest.approx(0.0, abs=1e-12)
+    assert FamilyParams(1, 12.3).log_z == pytest.approx(0.0, abs=1e-12)
     # sum_n 1/(n!)^2 = I0(2)
-    assert log_partition(FamilyParams(2, 1.0)) == pytest.approx(-2.0 + LN_I0_2, rel=1e-12)
+    assert FamilyParams(2, 1.0).log_z == pytest.approx(-2.0 + LN_I0_2, rel=1e-12)
 
 
 def test_log_partition_stirling_comparison():
@@ -107,11 +106,11 @@ def test_log_partition_stirling_comparison():
     # |delta|/L dies off at large L.
     N = 10.5
     for L in (2, 8):  # width regime sqrt(N/L) > 1, where the sum is Gaussian
-        exact = log_partition(FamilyParams(L, N))
+        exact = FamilyParams(L, N).log_z
         peak_only = -0.5 * L * math.log(2.0 * math.pi * (N - 1.0 / 12.0))
         width = 0.5 * math.log(2.0 * math.pi * N / L)
         assert exact == pytest.approx(peak_only + width, abs=0.02)
-    gap = abs(log_partition(FamilyParams(64, N)) + 32.0 * math.log(2.0 * math.pi * (N - 1.0 / 12.0)))
+    gap = abs(FamilyParams(64, N).log_z + 32.0 * math.log(2.0 * math.pi * (N - 1.0 / 12.0)))
     assert gap / 64.0 <= 1e-2
 
 
@@ -257,6 +256,44 @@ def test_closed_forms_raise_on_overflow():
             wigner_number(20.0 + 0j, 400)
         with pytest.raises(FloatingPointError):
             wigner_spectral(19.0 + 0j, FamilyParams(2, 100.5))
+
+
+def test_closed_forms_name_the_first_overflowed_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match=r"alpha = 20\+0j"):
+            wigner_number(np.array([1.0, 20.0, 21.0]), 400)
+        with pytest.raises(FloatingPointError, match=r"alpha = 19\+0j"):
+            wigner_spectral(np.array([0.5, 19.0, 20.0]), FamilyParams(2, 100.5))
+
+
+CLOSED_FORMS = [
+    (wigner_poisson, 10.5),
+    (wigner_number, 100),
+    (wigner_spectral, FamilyParams(2, 50.5)),
+]
+
+
+@pytest.mark.parametrize("route, arg", CLOSED_FORMS, ids=["poisson", "number", "spectral"])
+def test_closed_form_array_call_equals_scalar_calls(route, arg):
+    rng = np.random.default_rng(4)
+    points = np.linspace(0.0, 10.0, 2001) * np.exp(2j * math.pi * rng.random(2001))
+    if route is not wigner_poisson:
+        # the profile spans several blocks of the Laguerre recurrence
+        levels = 1 + (arg.n_max if route is wigner_spectral else arg)
+        assert len(points) * levels > 2 * states._LAGUERRE_BLOCK_ENTRIES
+    values = route(points, arg)
+    assert isinstance(values, np.ndarray) and values.shape == points.shape
+    assert values.tolist() == [route(complex(z), arg) for z in points]
+
+
+@pytest.mark.parametrize("route, arg", CLOSED_FORMS, ids=["poisson", "number", "spectral"])
+def test_closed_form_scalar_empty_and_2d_inputs(route, arg):
+    assert type(route(0.8 + 0.3j, arg)) is float
+    empty = route(np.array([], dtype=complex), arg)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    with pytest.raises(ValueError):
+        route(np.zeros((2, 2)), arg)
 
 
 def hermite_density_oracle(n: int, q: float) -> float:
