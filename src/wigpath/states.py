@@ -146,15 +146,17 @@ class FamilyParams:
 
 
 def _points(alpha) -> tuple[list[complex], bool]:
-    """The points of a closed-form call as Python complexes, and whether
-    alpha was a scalar rather than a 1-D array."""
+    """The points of a route call as Python complexes, and whether alpha was
+    a scalar rather than a 1-D array."""
     points = np.asarray(alpha, dtype=complex)
     if points.ndim > 1:
         raise ValueError("alpha must be a scalar or a 1-D array of points")
     return points.reshape(-1).tolist(), points.ndim == 0
 
 
-def _finite(values: list[float], points: list[complex], scalar: bool, what: str):
+def _finite(
+    values: list[float], points: list[complex], scalar: bool, what: str
+) -> float | np.ndarray:
     """Closed-form values as a float for a scalar call, else as an array; the
     nan or inf of an overflowed sum raises, naming the first such point."""
     for z, value in zip(points, values):
@@ -163,7 +165,7 @@ def _finite(values: list[float], points: list[complex], scalar: bool, what: str)
     return float(values[0]) if scalar else np.array(values, dtype=float)
 
 
-def _laguerre_form(alpha, n_max: int, levels, c: float, what: str):
+def _laguerre_form(alpha, n_max: int, levels, c: float, what: str) -> float | np.ndarray:
     """c exp(-2|alpha|^2) levels(L_0..L_nmax(4|alpha|^2)) at each point, where
     `levels` reduces a block's (n_max+1, points) Laguerre values per point.
     A block of one point recurs on a float, giving shape (n_max+1,): numpy
@@ -182,7 +184,7 @@ def _laguerre_form(alpha, n_max: int, levels, c: float, what: str):
     return _finite(values, points, scalar, what)
 
 
-def wigner_poisson(alpha, N: float):
+def wigner_poisson(alpha, N: float) -> float | np.ndarray:
     """Wigner function of the L = 1 (Poisson) member: strictly positive."""
     if not N > 0:
         raise ValueError("N must be positive")
@@ -195,7 +197,7 @@ def wigner_poisson(alpha, N: float):
     return _finite(values, points, scalar, "Poisson")
 
 
-def wigner_number(alpha, n: int):
+def wigner_number(alpha, n: int) -> float | np.ndarray:
     """Wigner function of the number state |n>."""
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -203,7 +205,7 @@ def wigner_number(alpha, n: int):
     return _laguerre_form(alpha, n, lambda lag: lag[n], c, "number-state")
 
 
-def wigner_spectral(alpha, params: FamilyParams):
+def wigner_spectral(alpha, params: FamilyParams) -> float | np.ndarray:
     """Exact W(L, N) as the weight-mixture of number-state Wigner functions.
 
     rho(L, N) is diagonal in the number basis and W is linear in the state, so
