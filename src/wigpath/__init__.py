@@ -38,9 +38,7 @@ from .saddle import (
     hessian_log_det,
     solve_saddle,
     stationary_action,
-    stirling_log_partition,
     wigner_saddle,
-    wigner_wkb,
 )
 from .special import log_bessel_i0, log_factorial
 from .states import (
@@ -87,7 +85,6 @@ __all__ = [
     "smoothed_wigner_from_histogram",
     "solve_saddle",
     "stationary_action",
-    "stirling_log_partition",
     "total_action",
     "wigner_montecarlo",
     "wigner_number",
@@ -95,5 +92,4 @@ __all__ = [
     "wigner_quadrature",
     "wigner_saddle",
     "wigner_spectral",
-    "wigner_wkb",
 ]

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .checks import run_suite
 from .integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
-from .saddle import RegionError, solve_saddle, wigner_saddle, wigner_wkb
+from .saddle import RegionError, singular_zone, solve_saddle, wigner_saddle
 from .states import FamilyParams, wigner_number, wigner_poisson, wigner_spectral
 
 OUTDIR_ENV = "WIGPATH_OUTDIR"
@@ -133,31 +133,26 @@ def _state_argument(cfg: RunConfig):
     return FamilyParams(cfg.L, cfg.N)
 
 
-def _asymptotic_values(one, rs: np.ndarray) -> tuple[list, list[str]]:
-    """An asymptotic route at each radius: (values, regions), with None and
-    the region's name where the route raises RegionError."""
-    values, regions = [], []
-    for r in rs:
-        try:
-            values.append(one(complex(r)))
-            regions.append("")
-        except RegionError as exc:
-            values.append(None)
-            regions.append(exc.region)
-    return values, regions
+def _saddle_values(
+    rs: np.ndarray, n: int, L: int, normalization: str = "wkb-matched"
+) -> tuple[list, list[str]]:
+    """The number-state saddle at each radius as (values, zones): radii in a
+    singular zone are masked out of the one wigner_saddle call and get None
+    and the zone's name."""
+    r = math.sqrt(n + 0.5)
+    zones = [singular_zone(abs(a), r) for a in rs.tolist()]
+    keep = np.array([not zone for zone in zones], dtype=bool)
+    samples = iter(wigner_saddle(rs[keep], n, L=L, normalization=normalization))
+    return [None if zone else next(samples).value for zone in zones], zones
 
 
-def _asymptotic_route(cfg: RunConfig, n: int):
+def _saddle_route(cfg: RunConfig, n: int):
     L = cfg.L if cfg.L is not None else 512
     if L < 1:
         raise ConfigError("the number-state saddle needs --L >= 1")
-
-    def one(a: complex) -> float:
-        if cfg.method == "saddle":
-            return wigner_saddle(a, n, L=L, normalization=cfg.normalization).value
-        return wigner_wkb(a, n)
-
-    return lambda rs: [(v, None, region) for v, region in zip(*_asymptotic_values(one, rs))]
+    return lambda rs: [
+        (v, None, zone) for v, zone in zip(*_saddle_values(rs, n, L, cfg.normalization))
+    ]
 
 
 def _quadrature_route(cfg: RunConfig, params: FamilyParams):
@@ -188,17 +183,22 @@ def _sample_rows(results) -> list[tuple]:
 _PROFILE_ROUTES = {
     ("poisson", "exact"): lambda cfg, N: lambda rs: _exact_rows(wigner_poisson(rs, N)),
     ("number", "exact"): lambda cfg, n: lambda rs: _exact_rows(wigner_number(rs, n)),
-    ("number", "saddle"): _asymptotic_route,
-    ("number", "wkb"): _asymptotic_route,
+    ("number", "saddle"): _saddle_route,
     ("family", "spectral"): lambda cfg, params: lambda rs: _exact_rows(wigner_spectral(rs, params)),
     ("family", "quadrature"): _quadrature_route,
     ("family", "mc"): _montecarlo_route,
 }
 
+_STATES = tuple(dict.fromkeys(state for state, _ in _PROFILE_ROUTES))
+
+
+def _methods(state: str | None) -> list[str]:
+    return [method for route_state, method in _PROFILE_ROUTES if route_state == state]
+
 
 def _profile_rows(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
     with _input_stage():
-        methods = [method for state, method in _PROFILE_ROUTES if state == cfg.state]
+        methods = _methods(cfg.state)
         if not methods:
             raise ConfigError(f"unknown state {cfg.state!r}; choose poisson, number or family")
         if cfg.method not in methods:
@@ -246,7 +246,7 @@ def _figure2_panels(n: int, rs: np.ndarray, L: int) -> dict:
     Poisson panels."""
     exact = wigner_number(rs, n)
     poisson = wigner_poisson(rs, n + 0.5)
-    saddle, regions = _asymptotic_values(lambda a: wigner_saddle(a, n, L=L).value, rs)
+    saddle, regions = _saddle_values(rs, n, L)
     saddle, regions = _interpolate_gaps(rs, saddle, regions)
     blank = [""] * len(rs)
     return {
@@ -256,13 +256,14 @@ def _figure2_panels(n: int, rs: np.ndarray, L: int) -> dict:
     }
 
 
-def cmd_figure2(n_values: list[int], out_dir: str | None, points: int, L: int, fmt: str) -> int:
+def cmd_figure2(args: argparse.Namespace) -> int:
     """Emit the exact, matched-saddle and Poisson radial profiles per level.
 
     Every level is computed before the first file is written, so a run that
     fails leaves no panel behind.
     """
     started = time.time()
+    n_values, points, L, fmt = args.n, args.points, args.L, args.fmt
     with _input_stage():
         if any(n < 1 for n in n_values):
             raise ConfigError("figure2 needs n >= 1")
@@ -271,7 +272,7 @@ def cmd_figure2(n_values: list[int], out_dir: str | None, points: int, L: int, f
         grids = [np.linspace(0.0, math.sqrt(n + 0.5) + 2.0, points) for n in n_values]
     levels = [_figure2_panels(n, rs, L) for n, rs in zip(n_values, grids)]
 
-    base = Path(out_dir) if out_dir else Path(os.environ.get(OUTDIR_ENV, ".")) / "figure2"
+    base = Path(args.out_dir) if args.out_dir else Path(os.environ.get(OUTDIR_ENV, ".")) / "figure2"
     base.mkdir(parents=True, exist_ok=True)
     header = ["r", "W", "method", "stderr", "region"]
     manifest = {"artifact_version": __version__, "panels": []}
@@ -285,30 +286,28 @@ def cmd_figure2(n_values: list[int], out_dir: str | None, points: int, L: int, f
         digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
         manifest["panels"].append({"n": n, "files": files, "config": config, "config_sha256": digest})
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    config = {"command": "figure2", "n_values": n_values, "points": points, "L": L}
-    print(_emit(str(base / "manifest.json"), "", text, config, started))
+    print(_emit(str(base / "manifest.json"), "", text, vars(args), started))
     return EXIT_OK
 
 
-def cmd_check(suite: str, output: str | None, **kwargs) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     started = time.time()
-    if kwargs:  # the sign suite's options
+    if args.suite in ("sign", "all"):
         with _input_stage():
-            if kwargs["L_max"] < 1:
+            if args.L_max < 1:
                 raise ConfigError("the sign suite needs --L-max >= 1")
-            MonteCarloSpec(kwargs["samples"], seed=kwargs["seed"])
-    report = run_suite(suite, **kwargs)
+            MonteCarloSpec(args.samples, seed=args.seed)
+    report = run_suite(args.suite, L_max=args.L_max, samples=args.samples, seed=args.seed)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if output:
-        _emit(output, "", text + "\n", {"command": "check", "suite": suite, **kwargs}, started)
+    if args.output:
+        _emit(args.output, "", text + "\n", vars(args), started)
     print(text)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
-def cmd_saddle_table(
-    n: int, L: int, s_min: float, s_max: float | None, points: int, output: str | None, fmt: str
-) -> int:
+def cmd_saddle_table(args: argparse.Namespace) -> int:
     started = time.time()
+    n, L, s_min, s_max = args.n, args.L, args.s_min, args.s_max
     with _input_stage():
         if n < 0:
             raise ConfigError("saddle-table needs --n >= 0")
@@ -319,7 +318,7 @@ def cmd_saddle_table(
             s_max = r + 2.0
         if not (s_min >= 0 and s_max >= 0):
             raise ConfigError("saddle-table needs --smin and --smax >= 0")
-        grid = np.linspace(s_min, s_max, points)
+        grid = np.linspace(s_min, s_max, args.points)
     header = [
         "s", "s_over_r", "branch", "theta_re", "theta_im",
         "action_re", "action_im", "logdet_re", "logdet_im", "t_re", "t_im", "residual", "region",
@@ -343,27 +342,22 @@ def cmd_saddle_table(
                 _fmt(sol.residual()), "",
             ]
         )
-    config = {
-        "command": "saddle-table", "n": n, "L": L, "s_min": s_min, "s_max": s_max, "points": points,
-    }
-    print(_emit(output, f"saddle_n{n}_L{L}.{fmt}", _table(header, rows, fmt), config, started))
+    name = f"saddle_n{n}_L{L}.{args.fmt}"
+    print(_emit(args.output, name, _table(header, rows, args.fmt), vars(args), started))
     return EXIT_OK
 
 
-def cmd_mc_diag(
-    N: float, alpha: float, L_min: int, L_max: int,
-    samples: int, seed: int, workers: int, output: str | None, fmt: str,
-) -> int:
+def cmd_mc_diag(args: argparse.Namespace) -> int:
     started = time.time()
     with _input_stage():
-        if L_min > L_max:
+        if args.L_min > args.L_max:
             raise ConfigError("mc-diag needs --L-min <= --L-max")
-        spec = MonteCarloSpec(samples, seed=seed, workers=workers)
-        members = [FamilyParams(L, N) for L in range(L_min, L_max + 1)]
+        spec = MonteCarloSpec(args.samples, seed=args.seed, workers=args.workers)
+        members = [FamilyParams(L, args.N) for L in range(args.L_min, args.L_max + 1)]
     header = ["L", "estimate", "stderr", "mean_phase_magnitude", "phase_stderr", "ess"]
     rows = []
     for params in members:
-        res = wigner_montecarlo(complex(alpha), params, spec)
+        res = wigner_montecarlo(complex(args.alpha), params, spec)
         rows.append(
             [
                 str(params.L), _fmt(res.value), _fmt(res.standard_error),
@@ -371,11 +365,8 @@ def cmd_mc_diag(
                 _fmt(res.effective_sample_size),
             ]
         )
-    config = {
-        "command": "mc-diag", "N": N, "alpha": alpha, "L_min": L_min, "L_max": L_max,
-        "samples": samples, "seed": seed, "workers": workers,
-    }
-    print(_emit(output, f"mc_diag_N{N}.{fmt}", _table(header, rows, fmt), config, started))
+    name = f"mc_diag_N{args.N}.{args.fmt}"
+    print(_emit(args.output, name, _table(header, rows, args.fmt), vars(args), started))
     return EXIT_OK
 
 
@@ -420,11 +411,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     prof = sub.add_parser("profile", help="radial Wigner profile of one state by one method")
     prof.add_argument("--config", help="key=value file; command-line flags override")
-    prof.add_argument("--state", choices=["poisson", "number", "family"])
+    prof.add_argument("--state", choices=_STATES)
     prof.add_argument("--n", type=int, help="number-state level")
     prof.add_argument("--N", type=float, help="mean occupation / circle radius squared")
     prof.add_argument("--L", type=int, help="slice count of the family member")
-    prof.add_argument("--method", choices=["exact", "spectral", "quadrature", "mc", "saddle", "wkb"])
+    prof.add_argument(
+        "--method",
+        help="evaluation route of the state: "
+        + "; ".join(f"{state}: {', '.join(_methods(state))}" for state in _STATES),
+    )
     prof.add_argument("--rmin", dest="r_min", type=float, default=0.0)
     prof.add_argument("--rmax", dest="r_max", type=float, default=4.0)
     prof.add_argument("--points", type=int, default=200)
@@ -442,7 +437,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     fig = sub.add_parser("figure2", help="exact / saddle / Poisson profile bundle per level")
     fig.add_argument("--n", type=int, nargs="+", default=[1, 10])
     fig.add_argument("--points", type=int, default=801)
-    fig.add_argument("--L", type=int, default=512, help="slice count entering the saddle constants")
+    fig.add_argument(
+        "--L", type=int, default=512,
+        help="slice count; the wkb-matched saddle panels do not use it, and it is "
+        "only recorded in the manifest",
+    )
     fig.add_argument("--out-dir", dest="out_dir")
     fig.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
 
@@ -474,6 +473,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     mcd.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
 
     return parser, prof
+
+
+# the commands other than `profile`, each given its parsed options, which are
+# also the configuration its sidecar records
+_COMMANDS = {
+    "figure2": cmd_figure2,
+    "check": cmd_check,
+    "saddle-table": cmd_saddle_table,
+    "mc-diag": cmd_mc_diag,
+}
 
 
 def _keep_freed_memory() -> None:
@@ -514,22 +523,7 @@ def main(argv: list[str] | None = None) -> int:
             fields = vars(args)
             del fields["config"]
             return cmd_profile(RunConfig(**fields))
-        if args.command == "figure2":
-            return cmd_figure2(args.n, args.out_dir, args.points, args.L, args.fmt)
-        if args.command == "check":
-            if args.suite in ("sign", "all"):
-                return cmd_check(args.suite, args.output, L_max=args.L_max, samples=args.samples, seed=args.seed)
-            return cmd_check(args.suite, args.output)
-        if args.command == "saddle-table":
-            return cmd_saddle_table(
-                args.n, args.L, args.s_min, args.s_max, args.points, args.output, args.fmt
-            )
-        if args.command == "mc-diag":
-            return cmd_mc_diag(
-                args.N, args.alpha, args.L_min, args.L_max,
-                args.samples, args.seed, args.workers, args.output, args.fmt,
-            )
-        raise ConfigError(f"unhandled command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -22,13 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import FamilyParams, WignerSample
+from .states import FamilyParams, WignerSample, _points
 
 TURNING_TOL = 1e-3  # relative width of the excluded annulus around s = r
 ORIGIN_TOL = 1e-3  # excluded core radius, as a fraction of r
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
+# (pi^3/2)^{-1/2}: the interior amplitude of the number state's WKB asymptotics
 _WKB_AMPLITUDE = 1.0 / math.sqrt(math.pi**3 / 2.0)
 
 
@@ -87,8 +88,19 @@ def _chord_derivative(theta: complex, r: float, L: int) -> complex:
     return 0.5 * r * 1j * (cmath.exp(1j * theta) - ratio * cmath.exp(-1j * theta * ratio))
 
 
-def classify_branch(s: float, r: float) -> str:
+def singular_zone(s: float, r: float) -> str:
+    """The singular zone of the asymptotics holding |alpha| = s, for the
+    circle of radius r: "turning" in the annulus |s/r - 1| < TURNING_TOL,
+    "origin" in the core s < ORIGIN_TOL r, or "" outside both."""
     if abs(s / r - 1.0) < TURNING_TOL:
+        return "turning"
+    if s < ORIGIN_TOL * r:
+        return "origin"
+    return ""
+
+
+def classify_branch(s: float, r: float) -> str:
+    if singular_zone(s, r) == "turning":
         return "turning"
     return "interior" if s < r else "exterior"
 
@@ -114,11 +126,7 @@ def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
     theta_limit = complex(math.acos(u)) if branch == "interior" else 1j * math.acosh(u)
 
     if L is None:
-        action = _limit_action(theta_limit, r)
-        return SaddleSolution(
-            theta=theta_limit, L=None, s=s, r=r,
-            stationary_action=action, branch=branch, t=None, log_det_hessian=None,
-        )
+        return _solution(theta_limit, s, r, None, branch)
 
     if L < 2 or int(L) != L:
         raise ValueError(f"L must be an integer >= 2 (or None for the limit), got {L}")
@@ -133,10 +141,21 @@ def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
             raise SaddleConvergenceError(
                 f"no decaying exterior saddle found at s={s}, r={r}, L={L}", [theta]
             )
-    t = cmath.exp(2j * L * theta / (L - 1))
+    return _solution(theta, s, r, L, branch)
+
+
+def _solution(theta: complex, s: float, r: float, L: int | None, branch: str) -> SaddleSolution:
+    """The saddle at half-angle theta with its action, and for finite L its
+    t and (L >= 3) Hessian log-determinant."""
+    if L is None:
+        return SaddleSolution(
+            theta=theta, L=None, s=s, r=r,
+            stationary_action=_limit_action(theta, r), branch=branch, t=None, log_det_hessian=None,
+        )
     return SaddleSolution(
         theta=theta, L=L, s=s, r=r,
-        stationary_action=action, branch=branch, t=t,
+        stationary_action=_finite_action(theta, r, L), branch=branch,
+        t=cmath.exp(2j * L * theta / (L - 1)),
         log_det_hessian=_hessian_log_det(theta, r, L) if L >= 3 else None,
     )
 
@@ -176,20 +195,7 @@ def stationary_action(sol: SaddleSolution) -> complex:
 
 def time_reversed(sol: SaddleSolution) -> SaddleSolution:
     """The conjugate saddle traversing the arc the opposite way."""
-    theta = -sol.theta.conjugate()
-    if sol.L is None:
-        return SaddleSolution(
-            theta=theta, L=None, s=sol.s, r=sol.r,
-            stationary_action=_limit_action(theta, sol.r),
-            branch=sol.branch, t=None, log_det_hessian=None,
-        )
-    t = cmath.exp(2j * sol.L * theta / (sol.L - 1))
-    return SaddleSolution(
-        theta=theta, L=sol.L, s=sol.s, r=sol.r,
-        stationary_action=_finite_action(theta, sol.r, sol.L),
-        branch=sol.branch, t=t,
-        log_det_hessian=_hessian_log_det(theta, sol.r, sol.L) if sol.L >= 3 else None,
-    )
+    return _solution(-sol.theta.conjugate(), sol.s, sol.r, sol.L, sol.branch)
 
 
 def _hessian_log_det(theta: complex, r: float, L: int) -> complex:
@@ -232,22 +238,6 @@ def _log_raw_constant(n: int, L: int) -> float:
     return 0.5 * L * math.log(2.0 * math.pi) + 0.5 * math.log(L) + params.log_z
 
 
-def _check_zones(s: float, r: float) -> str:
-    branch = classify_branch(s, r)
-    if branch == "turning":
-        raise RegionError(
-            "turning",
-            f"|alpha| = {s:.6f} lies in the turning annulus around sqrt(n+1/2) = {r:.6f}",
-        )
-    if s < ORIGIN_TOL * r:
-        raise RegionError(
-            "origin",
-            f"|alpha| = {s:.6f} is inside the origin zone {ORIGIN_TOL * r:.2e} "
-            "where the quarter-power amplitude diverges",
-        )
-    return branch
-
-
 def interior_phase(s: float, n: int) -> float:
     """Oscillation phase (2n+1) arccos(u) - 2 s sqrt(n+1/2-s^2) - pi/4."""
     r2 = n + 0.5
@@ -256,9 +246,14 @@ def interior_phase(s: float, n: int) -> float:
 
 
 def wigner_saddle(
-    alpha: complex, n: int, L: int = 512, normalization: str = "wkb-matched"
-) -> WignerSample:
+    alpha, n: int, L: int = 512, normalization: str = "wkb-matched"
+) -> WignerSample | list[WignerSample]:
     """Saddle-point Wigner function of the family member pinned to level n.
+
+    alpha is a complex scalar, giving one WignerSample, or a 1-D array of
+    points, giving one WignerSample per point in input order.  A point in a
+    singular zone (`singular_zone`) raises RegionError naming the zone and
+    the point.
 
     The family parameter is fixed at N = n + 1/2.  The fastest pinch onto
     |n><n| is at N = sqrt(n(n+1)), where the two nearest tail ratios N/(n+1)
@@ -275,53 +270,31 @@ def wigner_saddle(
         raise ValueError("n must be non-negative")
     if normalization not in ("raw", "wkb-matched"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    points, scalar = _points(alpha)
     r2 = n + 0.5
     r = math.sqrt(r2)
-    s = abs(alpha)
-    branch = _check_zones(s, r)
-
-    quarter = (s * s * abs(r2 - s * s)) ** 0.25
-    if normalization == "raw":
-        log_amp = -_log_raw_constant(n, L) - math.log(quarter)
-    else:
-        log_amp = math.log(_WKB_AMPLITUDE) - math.log(quarter)
-
-    try:
-        if branch == "interior":
-            value = math.cos(interior_phase(s, n)) * math.exp(log_amp)
-        else:
-            u = s / r
-            exponent = (2 * n + 1) * math.acosh(u) - 2.0 * s * math.sqrt(s * s - r2)
-            value = 0.5 * math.exp(exponent + log_amp)
-    except OverflowError:
-        raise OverflowError(
-            f"raw-normalized saddle amplitude exp({log_amp:.1f}) exceeds double "
-            f"range at L={L}; use normalization='wkb-matched' or a smaller L"
-        ) from None
-    return WignerSample(alpha=alpha, value=value, method="saddle")
-
-
-def wigner_wkb(alpha: complex, n: int) -> float:
-    """Interior wave-function asymptotics for the number-state Wigner function,
-    with the explicit (pi^3/2)^{-1/2} amplitude."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    r2 = n + 0.5
-    r = math.sqrt(r2)
-    s = abs(alpha)
-    branch = _check_zones(s, r)
-    if branch != "interior":
-        raise RegionError("exterior", f"|alpha| = {s:.6f} is outside the shelf (r = {r:.6f})")
-    quarter = (s * s * (r2 - s * s)) ** 0.25
-    return _WKB_AMPLITUDE * math.cos(interior_phase(s, n)) / quarter
-
-
-def stirling_log_partition(n: int, L: int) -> float:
-    """Stirling estimate -(L/2) ln[2 pi (n + 5/12)] of the log partition sum.
-
-    Good to about a percent per slice for n >= 5; breaks down for small n
-    (the exact value at L = 1 is 0).
-    """
-    if n < 2:
-        raise ValueError("the Stirling form needs n >= 2")
-    return -0.5 * L * math.log(2.0 * math.pi * (n + 5.0 / 12.0))
+    log_norm = -_log_raw_constant(n, L) if normalization == "raw" else math.log(_WKB_AMPLITUDE)
+    samples = []
+    for z in points:
+        s = abs(z)
+        zone = singular_zone(s, r)
+        if zone:
+            raise RegionError(
+                zone, f"alpha = {z:.6g} (|alpha| = {s:.6f}) lies in the {zone} zone of "
+                f"sqrt(n+1/2) = {r:.6f}, where the quarter-power amplitude diverges",
+            )
+        log_amp = log_norm - math.log((s * s * abs(r2 - s * s)) ** 0.25)
+        try:
+            if s < r:
+                value = math.cos(interior_phase(s, n)) * math.exp(log_amp)
+            else:
+                u = s / r
+                exponent = (2 * n + 1) * math.acosh(u) - 2.0 * s * math.sqrt(s * s - r2)
+                value = 0.5 * math.exp(exponent + log_amp)
+        except OverflowError:
+            raise OverflowError(
+                f"raw-normalized saddle amplitude exp({log_amp:.1f}) exceeds double "
+                f"range at L={L}; use normalization='wkb-matched' or a smaller L"
+            ) from None
+        samples.append(WignerSample(alpha=z, value=value, method="saddle"))
+    return samples[0] if scalar else samples

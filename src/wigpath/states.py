@@ -31,8 +31,8 @@ _WIGNER_BOUND = 2.0 / math.pi
 _LAGUERRE_BLOCK_ENTRIES = 2**16
 
 # Method tags whose values are genuine Wigner evaluations and must respect the
-# global 2/pi bound.  Saddle-point and WKB values are asymptotic approximants
-# with an amplitude that is not trustworthy near their singular edges, and a
+# global 2/pi bound.  Saddle-point values are asymptotic approximants with an
+# amplitude that is not trustworthy near their singular edges, and a
 # Monte Carlo estimate carries noise that may cross the bound.
 _BOUNDED_METHODS = {"spectral", "quadrature"}
 

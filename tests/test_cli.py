@@ -115,6 +115,14 @@ def test_profile_invalid_combination_exits_2(tmp_path, capsys):
     assert "spectral" in capsys.readouterr().err
 
 
+def test_profile_number_wkb_exits_2(tmp_path, capsys):
+    out = tmp_path / "wkb.csv"
+    code = main(["profile", "--state", "number", "--n", "10", "--method", "wkb", "--out", str(out)])
+    assert code == EXIT_CONFIG_ERROR
+    assert "exact, saddle" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_config_file_with_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -400,3 +408,18 @@ def test_json_output_mirrors_numbers_as_strings(tmp_path):
     assert len(payload) == 4
     assert isinstance(payload[0]["W"], str)
     assert float(payload[0]["W"]) == pytest.approx(-2.0 / math.pi, rel=1e-12)
+
+
+def test_sidecars_record_the_output_format(tmp_path):
+    runs = {
+        "st.json": ["saddle-table", "--n", "3", "--L", "4", "--points", "5"],
+        "diag.json": ["mc-diag", "--N", "1.5", "--L-max", "2", "--samples", "2000"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--format", "json", "--out", str(tmp_path / name)]) == EXIT_OK
+    fig = tmp_path / "fig"
+    assert main(["figure2", "--n", "1", "--points", "21", "--format", "json",
+                 "--out-dir", str(fig)]) == EXIT_OK
+    for meta in (tmp_path / "st.json.meta.json", tmp_path / "diag.json.meta.json",
+                 fig / "manifest.json.meta.json"):
+        assert json.loads(meta.read_text())["config"]["fmt"] == "json"

@@ -16,18 +16,39 @@ from wigpath.saddle import (
     hessian_matrix,
     interior_phase,
     solve_saddle,
+    singular_zone,
     stationary_action,
-    stirling_log_partition,
     time_reversed,
     wigner_saddle,
-    wigner_wkb,
 )
-from wigpath.states import FamilyParams, wigner_number
+from wigpath.states import FamilyParams, WignerSample, wigner_number
 
 # Newton result for s=1, r=sqrt(1.5), L=8 at 40-digit precision, frozen
 THETA_L8 = 0.5325459039802439 - 0.09609345464649598j
 # stationary action at s=0.8r, r^2=1.5, L=32, frozen from term-by-term substitution
 S0_L32 = 0.03873544945983935 + 0.4883678243579856j
+
+
+def wigner_wkb(alpha: complex, n: int) -> float:
+    """Oracle: the interior wave-function asymptotics of the number-state
+    Wigner function, with the explicit (pi^3/2)^{-1/2} amplitude."""
+    r2 = n + 0.5
+    s = abs(alpha)
+    zone = singular_zone(s, math.sqrt(r2))
+    if zone:
+        raise RegionError(zone, f"|alpha| = {s} lies in the {zone} zone")
+    if s * s >= r2:
+        raise RegionError("exterior", f"|alpha| = {s} is outside the shelf")
+    quarter = (s * s * (r2 - s * s)) ** 0.25
+    return math.cos(interior_phase(s, n)) / (math.sqrt(math.pi**3 / 2.0) * quarter)
+
+
+def stirling_log_partition(n: int, L: int) -> float:
+    """Oracle: the Stirling estimate -(L/2) ln[2 pi (n + 5/12)] of the log
+    partition sum, good to about a percent per slice for n >= 5."""
+    if n < 2:
+        raise ValueError("the Stirling form needs n >= 2")
+    return -0.5 * L * math.log(2.0 * math.pi * (n + 5.0 / 12.0))
 
 
 def test_limit_solutions():
@@ -269,9 +290,10 @@ def test_wkb_phase_origin_limit():
 
 
 def test_wkb_amplitude_as_printed():
+    # inside the circle the matched saddle is the printed WKB form
     n, s = 10, 2.0
     denom = math.sqrt(math.pi**3 / 2.0) * (s * s * (n + 0.5 - s * s)) ** 0.25
-    assert wigner_wkb(complex(s), n) == pytest.approx(
+    assert wigner_saddle(complex(s), n).value == pytest.approx(
         math.cos(interior_phase(s, n)) / denom, rel=1e-14
     )
 
@@ -324,3 +346,53 @@ def test_stirling_per_slice_gap_shrinks():
         exact = FamilyParams(L, N).log_z
         gap = abs(exact - stirling_log_partition(n, L)) / L
         assert gap <= 1e-2
+
+
+# a grid over both branches at n = 10 (r = 3.24), zone points left out
+SADDLE_GRID = [
+    s * cmath.exp(0.3j * k)
+    for k, s in enumerate(np.linspace(0.01, 5.5, 601))
+    if not singular_zone(s, math.sqrt(10.5))
+]
+
+
+@pytest.mark.parametrize(
+    "normalization, L", [("wkb-matched", 512), ("raw", 8)], ids=["wkb-matched", "raw-L8"]
+)
+def test_wigner_saddle_array_call_equals_scalar_calls(normalization, L):
+    grid = np.array(SADDLE_GRID)
+    assert {s < math.sqrt(10.5) for s in np.abs(grid)} == {True, False}
+    got = wigner_saddle(grid, 10, L=L, normalization=normalization)
+    want = [wigner_saddle(z, 10, L=L, normalization=normalization) for z in SADDLE_GRID]
+    assert got == want  # alpha, value and method, bit for bit
+
+
+def test_wigner_saddle_array_zone_point_raises():
+    r = math.sqrt(10.5)
+    for bad, region in ((r, "turning"), (1e-6, "origin")):
+        with pytest.raises(RegionError, match=f"{region} zone") as err:
+            wigner_saddle(np.array([1.0, bad, 2.0]), 10)
+        assert err.value.region == region
+        assert f"{complex(bad):.6g}" in str(err.value)
+
+
+def test_wigner_saddle_empty_and_2d_inputs():
+    assert wigner_saddle(np.array([]), 10) == []
+    assert isinstance(wigner_saddle(2.0 + 0j, 10), WignerSample)
+    with pytest.raises(ValueError, match="1-D"):
+        wigner_saddle(np.ones((2, 2)), 10)
+
+
+def test_zone_rule_matches_scalar_region_errors():
+    # the 2001-point profile grid that lands in both zones at n = 10
+    r = math.sqrt(10.5)
+    zones, raised = [], []
+    for s in np.linspace(0.0, 4.0, 2001).tolist():
+        zones.append(singular_zone(s, r))
+        try:
+            wigner_saddle(complex(s), 10)
+            raised.append("")
+        except RegionError as exc:
+            raised.append(exc.region)
+    assert zones == raised
+    assert {"turning", "origin", ""} <= set(zones)
