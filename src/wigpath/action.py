@@ -11,6 +11,12 @@ link.  The total action against an evaluation point alpha splits as
 with mid = (gamma_1 + gamma_L)/2 the chord midpoint.  Time reversal flips the
 sign of Im S and leaves Re S alone, which is why the assembled Wigner values
 come out real.
+
+The batched circle forms turn each sampled angle into one unit phasor
+e = cos theta + i sin theta and build every term from products of phasors:
+the links e_{l-1} conj(e_l), the end chord e_L conj(e_1), the ends tied to
+alpha, and (in integrate) the chord midpoint r (e_1 + e_L)/2.  With an array
+of radii, each row of totals is bit-identical to the call at that radius.
 """
 
 from __future__ import annotations
@@ -94,14 +100,28 @@ def total_action(path, alpha: complex) -> ActionValue:
     )
 
 
-def circle_path_terms(thetas: np.ndarray, r: float) -> np.ndarray:
-    """Vectorized closed-polygon terms for a (batch, L) array of angles on the
-    circle of radius r: path_action of each row, one complex value per path."""
+def _phasor_path_terms(thetas, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit phasors of a (batch, L) angle array, filled part by part with no
+    complex temporary (equal to exp(1j*theta) bit for bit), and the path term
+    of each row, its links summed one column at a time."""
     th = np.asarray(thetas)
     if th.ndim != 2:
         raise ValueError("expected a (batch, L) angle array")
-    prev = np.roll(th, 1, axis=1)
-    return th.shape[1] * r * r - r * r * np.exp(1j * (prev - th)).sum(axis=1)
+    e = np.empty(th.shape, dtype=complex)
+    np.cos(th, out=e.real)
+    np.sin(th, out=e.imag)
+    links = e[:, -1] * e[:, 0].conj()
+    step = np.empty_like(links)
+    for l in range(1, th.shape[1]):
+        links += np.multiply(e[:, l - 1], np.conjugate(e[:, l], out=step), out=step)
+    links *= r * r
+    return e, np.subtract(th.shape[1] * r * r, links, out=links)
+
+
+def circle_path_terms(thetas: np.ndarray, r: float) -> np.ndarray:
+    """Vectorized closed-polygon terms for a (batch, L) array of angles on the
+    circle of radius r: path_action of each row, one complex value per path."""
+    return _phasor_path_terms(thetas, r)[1]
 
 
 def circle_actions_batch(
@@ -109,23 +129,25 @@ def circle_actions_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (path term, total) actions for a (batch, L) array of angles.
 
-    Workhorse for the Monte Carlo estimators; one row per sampled path.  s is
-    a scalar, giving totals of shape (batch,), or a 1-D array of radii, giving
-    C-contiguous totals of shape (len(s), batch) whose row i equals the scalar
-    call at s[i] bit for bit: the path terms and the radius-free end factors
-    are computed once and shared by every radius.
+    Workhorse for the Monte Carlo estimators; one row per sampled path, with
+    one unit phasor per angle.  s is a scalar, giving totals of shape
+    (batch,), or a 1-D array of radii, giving C-contiguous totals of shape
+    (len(s), batch) whose row i equals the scalar call at s[i] bit for bit:
+    the path terms and the radius-free end factors are computed once and
+    shared by every radius.
     """
-    th = np.asarray(thetas)
-    path_terms = circle_path_terms(th, r)
+    e, path_terms = _phasor_path_terms(thetas, r)
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise ValueError("s must be a scalar or a 1-D array of radii")
-    # (k, 1) gives one row per radius; a scalar stays a Python float so that
-    # numpy reuses the batch-sized temporaries in place, as before
-    s = s[:, None] if s.ndim else float(s)
-    end_terms = (
-        2.0 * s * s
-        + 2.0 * r * r * np.exp(1j * (th[:, -1] - th[:, 0]))
-        - 2.0 * r * s * (np.exp(-1j * (th[:, 0] - phi)) + np.exp(1j * (th[:, -1] - phi)))
-    )
-    return path_terms, path_terms + end_terms
+    s = s[:, None] if s.ndim else float(s)  # (k, 1): one row per radius
+    first, last = e[:, 0], e[:, -1]
+    rot = np.exp(1j * phi)
+    ends = first.conj() * rot + last * rot.conjugate()
+    # in place, with the real 2 r s applied part by part: besides the totals
+    # only one real temporary of their shape is alive
+    totals = 2.0 * s * s + 2.0 * r * r * (last * first.conj())
+    totals.real -= 2.0 * r * s * ends.real
+    totals.imag -= 2.0 * r * s * ends.imag
+    totals += path_terms
+    return path_terms, totals

@@ -223,17 +223,18 @@ def _interpolate_gaps(rs: np.ndarray, vals: list, regions: list[str]) -> tuple[l
     """Linearly fill region-error points from their valid neighbours (plot aid only)."""
     vals = list(vals)
     regions = list(regions)
-    good = [i for i, v in enumerate(vals) if v is not None]
-    if not good:
+    valid = np.array([v is not None for v in vals], dtype=bool)
+    if not valid.any():
         return vals, regions
-    for i, v in enumerate(vals):
-        if v is not None:
-            continue
-        left = max((g for g in good if g < i), default=None)
-        right = min((g for g in good if g > i), default=None)
-        if left is None or right is None:
-            anchor = left if left is not None else right
-            vals[i] = vals[anchor]
+    # nearest valid index on each side, from one forward and one backward
+    # pass: -1 where none lies to the left, len(vals) where none to the right
+    index = np.arange(len(vals))
+    lefts = np.maximum.accumulate(np.where(valid, index, -1))
+    rights = np.minimum.accumulate(np.where(valid, index, len(vals))[::-1])[::-1]
+    for i in np.flatnonzero(~valid).tolist():
+        left, right = int(lefts[i]), int(rights[i])
+        if left < 0 or right == len(vals):
+            vals[i] = vals[right if left < 0 else left]
         else:
             w = (rs[i] - rs[left]) / (rs[right] - rs[left])
             vals[i] = (1.0 - w) * vals[left] + w * vals[right]

@@ -257,6 +257,25 @@ def test_circle_path_terms_equal_batch_path_terms_bitwise():
             assert terms[i] == pytest.approx(path_action(path), rel=1e-12, abs=1e-14)
 
 
+@pytest.mark.parametrize("L", [1, 2, 64])
+def test_phasor_actions_match_generic_path_actions(L):
+    # the column-wise link sum and the e^{+-i phi} end factors against the
+    # generic-path action of the lifted vertices
+    rng = np.random.default_rng(34 + L)
+    r, phi = 1.6, -2.3
+    thetas = rng.uniform(0, 2 * math.pi, size=(40, L))
+    radii = np.array([0.0, 0.45, 1.6, 3.1])
+    terms = circle_path_terms(thetas, r)
+    path_terms, totals = circle_actions_batch(thetas, r, radii, phi)
+    assert np.array_equal(terms, path_terms)
+    for i in range(len(thetas)):
+        vertices = CirclePath(r, tuple(thetas[i])).vertices()
+        assert terms[i] == pytest.approx(path_action(vertices), rel=1e-12, abs=1e-14)
+        for k, s in enumerate(radii):
+            ref = total_action(vertices, s * cmath.exp(1j * phi)).total
+            assert totals[k, i] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
 def test_circle_path_terms_reject_1d_angles():
     with pytest.raises(ValueError):
         circle_path_terms(np.zeros(4), 1.0)

@@ -318,6 +318,48 @@ def test_figure2_failed_level_writes_nothing(tmp_path, monkeypatch, capsys):
     assert list(out.glob("*")) == []
 
 
+def scan_interpolate_gaps(rs, vals, regions):
+    # oracle: each gap's neighbours by a scan over every valid index
+    vals, regions = list(vals), list(regions)
+    good = [i for i, v in enumerate(vals) if v is not None]
+    if not good:
+        return vals, regions
+    for i, v in enumerate(vals):
+        if v is not None:
+            continue
+        left = max((g for g in good if g < i), default=None)
+        right = min((g for g in good if g > i), default=None)
+        if left is None or right is None:
+            vals[i] = vals[left if left is not None else right]
+        else:
+            w = (rs[i] - rs[left]) / (rs[right] - rs[left])
+            vals[i] = (1.0 - w) * vals[left] + w * vals[right]
+        regions[i] = f"interpolated:{regions[i]}"
+    return vals, regions
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        [0, 1, 2],  # leading
+        [37, 38, 39],  # trailing
+        [0, 5, 6, 7, 20, 21, 39],  # both ends and adjacent runs
+        [10],
+        list(range(40)),  # nothing to interpolate from
+        [],
+    ],
+    ids=["leading", "trailing", "mixed", "single", "all", "none"],
+)
+def test_interpolate_gaps_equals_scan(gaps):
+    rs = np.sort(np.random.default_rng(4).uniform(0.0, 6.0, 40))
+    exact = [float(math.cos(3.0 * r)) for r in rs]
+    vals = [None if i in gaps else v for i, v in enumerate(exact)]
+    regions = ["turning" if i in gaps else "" for i in range(40)]
+    got = cli._interpolate_gaps(rs, vals, regions)
+    assert got == scan_interpolate_gaps(rs, vals, regions)
+    assert got[1].count("") == 40 - len(gaps)
+
+
 def test_check_determinant_passes(tmp_path, capsys):
     out = tmp_path / "det.json"
     code = main(["check", "determinant", "--out", str(out)])

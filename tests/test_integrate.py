@@ -450,6 +450,33 @@ def test_smoothed_map_memory_stays_small():
     assert peak < 1_000_000
 
 
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_actions_memory_at_one_radius_block():
+    # one 1e6-entry (radius, sample) block: 64 radii x 15,625 samples of L = 4
+    thetas = np.random.default_rng(6).uniform(0, 2 * math.pi, size=(15_625, 4))
+    radii = np.linspace(0.0, 3.0, 64)
+    assert traced_peak(lambda: circle_actions_batch(thetas, 1.2, radii)) <= 33_000_000
+
+
+def test_midpoint_histogram_memory_of_one_batch():
+    # one batch at the benchmark's midpoint-map batch size (2e6 samples / 64)
+    params = FamilyParams(3, 1.5)
+    spec = MonteCarloSpec(samples=31_250, seed=1, batch_size=31_250)
+    grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        peak = traced_peak(lambda: midpoint_histogram(params, spec, grid))
+    assert peak <= 4_570_000
+
+
 def test_midpoint_histogram_correlates_with_exact_wigner():
     # smoothed midpoint estimator tracks the exact function over the plane
     params = FamilyParams(3, 1.5)
