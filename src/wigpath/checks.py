@@ -167,22 +167,16 @@ def check_determinant(n_random: int = 50, seed: int = 20230914, tol: float = 1e-
     return out
 
 
-def check_sign(
-    L_max: int = 5,
-    N: float = 1.5,
-    alpha: complex = 0.8 + 0j,
-    samples: int = 200_000,
-    seed: int = 7,
-    workers: int = 1,
-) -> list[CheckResult]:
-    """Mean-phase-magnitude table over L with a monotone-trend flag."""
+def sign_rows(members: list[FamilyParams], alpha: complex, spec: MonteCarloSpec) -> list[dict]:
+    """One row of Monte Carlo sign-problem diagnostics per family member in
+    `members`, at the point alpha: L, the estimate and its standard error, the
+    mean phase magnitude and its standard error, and the effective sample size."""
     rows = []
-    for L in range(1, L_max + 1):
-        params = FamilyParams(L, N)
-        res = wigner_montecarlo(alpha, params, MonteCarloSpec(samples, seed=seed, workers=workers))
+    for params in members:
+        res = wigner_montecarlo(alpha, params, spec)
         rows.append(
             {
-                "L": L,
+                "L": params.L,
                 "estimate": res.value,
                 "standard_error": res.standard_error,
                 "mean_phase_magnitude": res.mean_phase_magnitude,
@@ -190,12 +184,18 @@ def check_sign(
                 "effective_sample_size": res.effective_sample_size,
             }
         )
-    positive = all(row["mean_phase_magnitude"] > 0 for row in rows)
-    monotone = True
-    for a, b in zip(rows, rows[1:]):
-        slack = 2.0 * math.hypot(a["phase_standard_error"] or 0.0, b["phase_standard_error"] or 0.0)
-        if b["mean_phase_magnitude"] > a["mean_phase_magnitude"] + slack:
-            monotone = False
+    return rows
+
+
+def check_sign(L_max: int = 5, samples: int = 200_000, seed: int = 7) -> list[CheckResult]:
+    """Mean-phase-magnitude table over L = 1..L_max with a monotone-trend flag,
+    for the family at N = 1.5 and the point alpha = 0.8."""
+    members = [FamilyParams(L, 1.5) for L in range(1, L_max + 1)]
+    rows = sign_rows(members, 0.8 + 0j, MonteCarloSpec(samples, seed=seed))
+    phases = [(row["mean_phase_magnitude"], row["phase_standard_error"] or 0.0) for row in rows]
+    positive = all(phase > 0 for phase, _ in phases)
+    # each step may rise by at most twice the combined standard error
+    monotone = all(b <= a + 2 * math.hypot(sa, sb) for (a, sa), (b, sb) in zip(phases, phases[1:]))
     return [
         CheckResult(
             name=f"sign trend L=1..{L_max}",

@@ -19,13 +19,13 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .checks import run_suite
+from .checks import run_suite, sign_rows
 from .integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
 from .saddle import RegionError, singular_zone, solve_saddle, wigner_saddle
 from .states import FamilyParams, wigner_number, wigner_poisson, wigner_spectral
@@ -58,27 +58,6 @@ def _input_stage():
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    state: str | None = None
-    n: int | None = None
-    N: float | None = None
-    L: int | None = None
-    method: str | None = None
-    r_min: float = 0.0
-    r_max: float = 4.0
-    points: int = 200
-    M: int = 128
-    samples: int = 100_000
-    seed: int = 0
-    workers: int = 1
-    batch_size: int | None = None
-    normalization: str = "wkb-matched"
-    output: str | None = None
-    fmt: str = "csv"
 
 
 def _fmt(x) -> str:
@@ -118,73 +97,69 @@ def _emit(output: str | None, name: str, text: str, config: dict, started: float
     return path
 
 
-def _state_argument(cfg: RunConfig):
+def _state_argument(args: argparse.Namespace):
     """The checked state argument of a profile route: N, n or FamilyParams."""
-    if cfg.state == "poisson":
-        if cfg.N is None or not cfg.N > 0:
+    if args.state == "poisson":
+        if args.N is None or not args.N > 0:
             raise ConfigError("state 'poisson' needs a positive --N (mean occupation)")
-        return cfg.N
-    if cfg.state == "number":
-        if cfg.n is None or cfg.n < 0:
+        return args.N
+    if args.state == "number":
+        if args.n is None or args.n < 0:
             raise ConfigError("state 'number' needs a non-negative --n (the level)")
-        return cfg.n
-    if cfg.L is None or cfg.N is None:
+        return args.n
+    if args.L is None or args.N is None:
         raise ConfigError("state 'family' needs --L and --N")
-    return FamilyParams(cfg.L, cfg.N)
+    return FamilyParams(args.L, args.N)
 
 
-def _saddle_values(
-    rs: np.ndarray, n: int, L: int, normalization: str = "wkb-matched"
-) -> tuple[list, list[str]]:
-    """The number-state saddle at each radius as (values, zones): radii in a
-    singular zone are masked out of the one wigner_saddle call and get None
-    and the zone's name."""
+def _saddle_columns(rs: np.ndarray, n: int, L: int, normalization: str = "wkb-matched"):
+    """The number-state saddle at each radius as (values, stderrs, zones):
+    radii in a singular zone are masked out of the one wigner_saddle call and
+    get None and the zone's name."""
     r = math.sqrt(n + 0.5)
     zones = [singular_zone(abs(a), r) for a in rs.tolist()]
     keep = np.array([not zone for zone in zones], dtype=bool)
     samples = iter(wigner_saddle(rs[keep], n, L=L, normalization=normalization))
-    return [None if zone else next(samples).value for zone in zones], zones
+    return [None if zone else next(samples).value for zone in zones], repeat(None), zones
 
 
-def _saddle_route(cfg: RunConfig, n: int):
-    L = cfg.L if cfg.L is not None else 512
+def _saddle_route(args: argparse.Namespace, n: int):
+    L = args.L if args.L is not None else 512
     if L < 1:
         raise ConfigError("the number-state saddle needs --L >= 1")
-    return lambda rs: [
-        (v, None, zone) for v, zone in zip(*_saddle_values(rs, n, L, cfg.normalization))
-    ]
+    return lambda rs: _saddle_columns(rs, n, L, args.normalization)
 
 
-def _quadrature_route(cfg: RunConfig, params: FamilyParams):
-    spec = QuadratureSpec(points_per_dim=cfg.M)
+def _quadrature_route(args: argparse.Namespace, params: FamilyParams):
+    spec = QuadratureSpec(points_per_dim=args.M)
     spec.check_budget(params.L)
-    return lambda rs: _sample_rows(wigner_quadrature(rs, params, spec))
+    return lambda rs: _sample_columns(wigner_quadrature(rs, params, spec))
 
 
-def _montecarlo_route(cfg: RunConfig, params: FamilyParams):
+def _montecarlo_route(args: argparse.Namespace, params: FamilyParams):
     spec = MonteCarloSpec(
-        cfg.samples, seed=cfg.seed, workers=cfg.workers, batch_size=cfg.batch_size
+        args.samples, seed=args.seed, workers=args.workers, batch_size=args.batch_size
     )
-    return lambda rs: _sample_rows(wigner_montecarlo(rs, params, spec))
+    return lambda rs: _sample_columns(wigner_montecarlo(rs, params, spec))
 
 
-def _exact_rows(values) -> list[tuple]:
-    return [(v, None, "") for v in values]
+def _exact_columns(values):
+    return values, repeat(None), repeat("")
 
 
-def _sample_rows(results) -> list[tuple]:
-    return [(res.value, res.standard_error, "") for res in results]
+def _sample_columns(results: list):
+    return [res.value for res in results], [res.standard_error for res in results], repeat("")
 
 
-# (state, method) -> builder, which checks the config and the state argument
-# (N, n or FamilyParams) and returns the evaluator rs -> [(value, stderr,
-# region), ...] of all radii.  Evaluators look the routes up in this module
-# when they run, so a replaced or wrapped name is the one called.
+# (state, method) -> builder, which checks the options and the state argument
+# (N, n or FamilyParams) and returns the evaluator rs -> (values, stderrs,
+# regions), one column each over all radii.  Evaluators look the routes up in
+# this module when they run, so a replaced or wrapped name is the one called.
 _PROFILE_ROUTES = {
-    ("poisson", "exact"): lambda cfg, N: lambda rs: _exact_rows(wigner_poisson(rs, N)),
-    ("number", "exact"): lambda cfg, n: lambda rs: _exact_rows(wigner_number(rs, n)),
+    ("poisson", "exact"): lambda args, N: lambda rs: _exact_columns(wigner_poisson(rs, N)),
+    ("number", "exact"): lambda args, n: lambda rs: _exact_columns(wigner_number(rs, n)),
     ("number", "saddle"): _saddle_route,
-    ("family", "spectral"): lambda cfg, params: lambda rs: _exact_rows(wigner_spectral(rs, params)),
+    ("family", "spectral"): lambda args, p: lambda rs: _exact_columns(wigner_spectral(rs, p)),
     ("family", "quadrature"): _quadrature_route,
     ("family", "mc"): _montecarlo_route,
 }
@@ -196,26 +171,29 @@ def _methods(state: str | None) -> list[str]:
     return [method for route_state, method in _PROFILE_ROUTES if route_state == state]
 
 
-def _profile_rows(cfg: RunConfig) -> tuple[list[str], list[list[str]]]:
-    with _input_stage():
-        methods = _methods(cfg.state)
-        if not methods:
-            raise ConfigError(f"unknown state {cfg.state!r}; choose poisson, number or family")
-        if cfg.method not in methods:
-            raise ConfigError(f"state {cfg.state!r} supports --method {', '.join(methods)}")
-        evaluate = _PROFILE_ROUTES[cfg.state, cfg.method](cfg, _state_argument(cfg))
-        rs = np.linspace(cfg.r_min, cfg.r_max, cfg.points)
+def _profile_table(rs: np.ndarray, method: str, columns: tuple, fmt: str) -> str:
+    """The r,W,method,stderr,region table of one radial profile, from its
+    (values, stderrs, regions) columns."""
     rows = [
-        [_fmt(r), _fmt(value), cfg.method, _fmt(stderr), region]
-        for r, (value, stderr, region) in zip(rs, evaluate(rs))
+        [_fmt(r), _fmt(value), method, _fmt(stderr), region]
+        for r, value, stderr, region in zip(rs, *columns)
     ]
-    return ["r", "W", "method", "stderr", "region"], rows
+    return _table(["r", "W", "method", "stderr", "region"], rows, fmt)
 
 
-def cmd_profile(cfg: RunConfig) -> int:
+def cmd_profile(args: argparse.Namespace) -> int:
     started = time.time()
-    name = f"profile_{cfg.state}_{cfg.method}.{cfg.fmt}"
-    print(_emit(cfg.output, name, _table(*_profile_rows(cfg), cfg.fmt), asdict(cfg), started))
+    with _input_stage():
+        methods = _methods(args.state)
+        if not methods:
+            raise ConfigError(f"unknown state {args.state!r}; choose poisson, number or family")
+        if args.method not in methods:
+            raise ConfigError(f"state {args.state!r} supports --method {', '.join(methods)}")
+        evaluate = _PROFILE_ROUTES[args.state, args.method](args, _state_argument(args))
+        rs = np.linspace(args.r_min, args.r_max, args.points)
+    text = _profile_table(rs, args.method, evaluate(rs), args.fmt)
+    name = f"profile_{args.state}_{args.method}.{args.fmt}"
+    print(_emit(args.output, name, text, vars(args), started))
     return EXIT_OK
 
 
@@ -243,17 +221,16 @@ def _interpolate_gaps(rs: np.ndarray, vals: list, regions: list[str]) -> tuple[l
 
 
 def _figure2_panels(n: int, rs: np.ndarray, L: int) -> dict:
-    """label -> (W values, method, regions) of one level's exact, saddle and
-    Poisson panels."""
-    exact = wigner_number(rs, n)
-    poisson = wigner_poisson(rs, n + 0.5)
-    saddle, regions = _saddle_values(rs, n, L)
-    saddle, regions = _interpolate_gaps(rs, saddle, regions)
-    blank = [""] * len(rs)
+    """label -> (method, (values, stderrs, regions)) of one level's exact,
+    saddle and Poisson panels."""
+    exact = _exact_columns(wigner_number(rs, n))
+    poisson = _exact_columns(wigner_poisson(rs, n + 0.5))
+    saddle, stderrs, zones = _saddle_columns(rs, n, L)
+    saddle, regions = _interpolate_gaps(rs, saddle, zones)
     return {
-        "exact": (exact, "exact", blank),
-        "saddle": (saddle, "saddle", regions),
-        "poisson": (poisson, "exact", blank),
+        "exact": ("exact", exact),
+        "saddle": ("saddle", (saddle, stderrs, regions)),
+        "poisson": ("exact", poisson),
     }
 
 
@@ -275,14 +252,12 @@ def cmd_figure2(args: argparse.Namespace) -> int:
 
     base = Path(args.out_dir) if args.out_dir else Path(os.environ.get(OUTDIR_ENV, ".")) / "figure2"
     base.mkdir(parents=True, exist_ok=True)
-    header = ["r", "W", "method", "stderr", "region"]
     manifest = {"artifact_version": __version__, "panels": []}
     for n, rs, panels in zip(n_values, grids, levels):
         files = {}
-        for label, (vals, method, regions) in panels.items():
-            rows = [[_fmt(r), _fmt(v), method, "", reg] for r, v, reg in zip(rs, vals, regions)]
+        for label, (method, columns) in panels.items():
             files[label] = f"n{n}_{label}.{fmt}"
-            (base / files[label]).write_text(_table(header, rows, fmt))
+            (base / files[label]).write_text(_profile_table(rs, method, columns, fmt))
         config = {"n": n, "N": n + 0.5, "points": points, "L": L, "fmt": fmt}
         digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
         manifest["panels"].append({"n": n, "files": files, "config": config, "config_sha256": digest})
@@ -355,31 +330,29 @@ def cmd_mc_diag(args: argparse.Namespace) -> int:
             raise ConfigError("mc-diag needs --L-min <= --L-max")
         spec = MonteCarloSpec(args.samples, seed=args.seed, workers=args.workers)
         members = [FamilyParams(L, args.N) for L in range(args.L_min, args.L_max + 1)]
+    # the columns of sign_rows, in order, under shorter names
     header = ["L", "estimate", "stderr", "mean_phase_magnitude", "phase_stderr", "ess"]
-    rows = []
-    for params in members:
-        res = wigner_montecarlo(complex(args.alpha), params, spec)
-        rows.append(
-            [
-                str(params.L), _fmt(res.value), _fmt(res.standard_error),
-                _fmt(res.mean_phase_magnitude), _fmt(res.phase_standard_error),
-                _fmt(res.effective_sample_size),
-            ]
-        )
+    rows = [
+        [_fmt(value) for value in row.values()]
+        for row in sign_rows(members, complex(args.alpha), spec)
+    ]
     name = f"mc_diag_N{args.N}.{args.fmt}"
     print(_emit(args.output, name, _table(header, rows, args.fmt), vars(args), started))
     return EXIT_OK
 
 
-# config-file keys named after a flag rather than its destination
-_CONFIG_ALIASES = {
-    "rmin": "r_min", "rmax": "r_max", "batch": "batch_size", "out": "output", "format": "fmt",
-}
+def _read_config_file(path: str, prof: argparse.ArgumentParser) -> dict:
+    """Plain key=value lines; '#' starts a comment.  Keys are the `profile`
+    options' flag names (`rmax`) or destinations (`r_max`); returns raw
+    strings by destination.
 
-
-def _read_config_file(path: str, dests: dict) -> dict:
-    """Plain key=value lines; '#' starts a comment.  Keys are option names
-    or destinations in `dests`; returns raw strings by destination."""
+    argparse checks choices on the command line only, so a file value outside
+    its option's choices is rejected here (every option with choices takes
+    strings)."""
+    actions = {
+        key: a for a in prof._actions if a.dest not in ("help", "config")
+        for key in (a.dest, *(opt.lstrip("-").replace("-", "_") for opt in a.option_strings))
+    }
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -393,10 +366,13 @@ def _read_config_file(path: str, dests: dict) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        dest = _CONFIG_ALIASES.get(key, key)
-        if dest not in dests or dest in ("command", "config"):
+        action = actions.get(key)
+        if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        values[dest] = value
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise ConfigError(f"config key {key!r}: invalid choice {value!r} ({choices})")
+        values[action.dest] = value
     return values
 
 
@@ -476,9 +452,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, prof
 
 
-# the commands other than `profile`, each given its parsed options, which are
-# also the configuration its sidecar records
+# each command is given its parsed options, which are also the configuration
+# its sidecar records
 _COMMANDS = {
+    "profile": cmd_profile,
     "figure2": cmd_figure2,
     "check": cmd_check,
     "saddle-table": cmd_saddle_table,
@@ -519,11 +496,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.config is not None:
                 # file values become the subparser's defaults: argparse converts
                 # them by each option's type, and command-line flags still win
-                prof.set_defaults(**_read_config_file(args.config, vars(args)))
+                prof.set_defaults(**_read_config_file(args.config, prof))
                 args = parser.parse_args(argv)
-            fields = vars(args)
-            del fields["config"]
-            return cmd_profile(RunConfig(**fields))
+            # the sidecar records the merged values, not the file they came from
+            del args.config
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

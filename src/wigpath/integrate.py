@@ -170,6 +170,13 @@ def wigner_quadrature(
     return results[0] if scalar else results
 
 
+def _batch_angles(seed: int, batch_index: int, size: int, L: int) -> np.ndarray:
+    """The (size, L) uniform angles of one Monte Carlo batch, drawn from the
+    Philox stream of `seed` jumped `batch_index` times: each batch is fixed by
+    (seed, index) alone, whatever thread draws it and in whatever order."""
+    return Generator(Philox(seed).jumped(batch_index)).uniform(0.0, 2.0 * math.pi, (size, L))
+
+
 def _mc_batch_stats(
     batch_index: int, size: int, L: int, r: float, s: np.ndarray, seed: int
 ) -> list[tuple]:
@@ -181,8 +188,7 @@ def _mc_batch_stats(
     per block.  Every reduction runs along the sample axis, so each radius is
     summed exactly as a single-radius call would sum it.
     """
-    rng = Generator(Philox(seed).jumped(batch_index))
-    thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, L))
+    thetas = _batch_angles(seed, batch_index, size, L)
     per_block = max(1, _BLOCK_ENTRIES // size)
     sums = []
     for lo in range(0, len(s), per_block):
@@ -312,9 +318,7 @@ def midpoint_histogram(
     cells = grid.bins * grid.bins
     hist = np.zeros(cells, dtype=complex)
     for b, size in enumerate(spec.batch_sizes()):
-        rng = Generator(Philox(spec.seed).jumped(b))
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, params.L))
-        e, path_terms = _phasor_path_terms(thetas, r)
+        e, path_terms = _phasor_path_terms(_batch_angles(spec.seed, b, size, params.L), r)
         mid = 0.5 * r * (e[:, 0] + e[:, -1])
         cell = grid.index(mid.real) * grid.bins + grid.index(mid.imag)
         cell = np.concatenate((np.arange(cells), cell))

@@ -99,12 +99,6 @@ def singular_zone(s: float, r: float) -> str:
     return ""
 
 
-def classify_branch(s: float, r: float) -> str:
-    if singular_zone(s, r) == "turning":
-        return "turning"
-    return "interior" if s < r else "exterior"
-
-
 def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
     """Solve the implicit arc equation for the saddle half-angle.
 
@@ -116,12 +110,12 @@ def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
     """
     if s < 0 or r <= 0:
         raise ValueError("need s >= 0 and r > 0")
-    branch = classify_branch(s, r)
-    if branch == "turning":
+    if singular_zone(s, r) == "turning":
         raise RegionError(
             "turning",
             f"s/r = {s / r:.6f} lies in the turning annulus |s/r - 1| < {TURNING_TOL}",
         )
+    branch = "interior" if s < r else "exterior"
     u = s / r
     theta_limit = complex(math.acos(u)) if branch == "interior" else 1j * math.acosh(u)
 

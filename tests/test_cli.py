@@ -155,6 +155,37 @@ def test_profile_config_file_bad_type_exits_like_the_flag(tmp_path, capsys):
     assert "--points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, method",
+    [("format = xml", "exact"), ("normalization = bogus", "saddle"), ("state = bogus", "exact")],
+)
+def test_profile_config_file_value_outside_choices_exits_2(
+    tmp_path, monkeypatch, capsys, line, method
+):
+    # argparse checks choices on flags only; a file value meets the same choices
+    monkeypatch.setenv("WIGPATH_OUTDIR", str(tmp_path / "out"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"state = number\nn = 2\nmethod = {method}\n{line}\n")
+    assert main(["profile", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_sidecar_records_every_option_merged(tmp_path):
+    parser, _ = cli.build_parser()
+    dests = set(vars(parser.parse_args(["profile"]))) - {"config"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("state = number\nn = 2\nmethod = exact\npoints = 11\nrmax = 3.0\nformat = json\n")
+    out = tmp_path / "cfg.json"
+    assert main(["profile", "--config", str(cfg), "--points", "5", "--out", str(out)]) == EXIT_OK
+    config = json.loads((tmp_path / "cfg.json.meta.json").read_text())["config"]
+    assert set(config) == dests
+    assert config["points"] == 5  # the flag wins over the file
+    assert (config["state"], config["n"], config["method"]) == ("number", 2, "exact")
+    assert (config["r_max"], config["fmt"]) == (3.0, "json")
+    assert config["samples"] == 100_000  # in neither: the subparser's default
+
+
 def test_profile_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
@@ -430,6 +461,19 @@ def test_mc_diag(tmp_path):
     phases = [float(row[3]) for row in rows]
     assert phases[0] == pytest.approx(1.0, abs=1e-12)
     assert all(p > 0.0 for p in phases)
+
+
+def test_mc_diag_rows_equal_check_sign_rows(tmp_path):
+    diag, sign = tmp_path / "diag.csv", tmp_path / "sign.json"
+    common = ["--L-max", "3", "--samples", "20000", "--seed", "7"]
+    argv = ["mc-diag", "--N", "1.5", "--alpha", "0.8", "--L-min", "1", *common, "--out", str(diag)]
+    assert main(argv) == EXIT_OK
+    main(["check", "sign", *common, "--out", str(sign)])
+    keys = ["L", "estimate", "standard_error", "mean_phase_magnitude", "phase_standard_error",
+            "effective_sample_size"]
+    report = json.loads(sign.read_text())["checks"][0]["detail"]["rows"]
+    _, rows = read_csv(diag)
+    assert [[float(x) for x in row] for row in rows] == [[row[k] for k in keys] for row in report]
 
 
 def test_mc_diag_empty_range_exits_2(tmp_path, capsys):
