@@ -177,10 +177,11 @@ def _batch_angles(seed: int, batch_index: int, size: int, L: int) -> np.ndarray:
     return Generator(Philox(seed).jumped(batch_index)).uniform(0.0, 2.0 * math.pi, (size, L))
 
 
-def _mc_batch_stats(
+def _mc_batch_sums(
     batch_index: int, size: int, L: int, r: float, s: np.ndarray, seed: int
-) -> list[tuple]:
-    """Sufficient statistics of one batch, one tuple per radius in s.
+) -> np.ndarray:
+    """Sums of one batch at every radius in s, as a (4, radii) array whose
+    rows are sum w, sum (Re w)^2, sum |w| and sum |w|^2 for w = exp(-S).
 
     The batch is drawn once and serves every radius.  Radii are taken in
     blocks of about _BLOCK_ENTRIES (radius, sample) entries, which bounds the
@@ -190,73 +191,32 @@ def _mc_batch_stats(
     """
     thetas = _batch_angles(seed, batch_index, size, L)
     per_block = max(1, _BLOCK_ENTRIES // size)
-    sums = []
+    sums = np.empty((4, len(s)), dtype=complex)
     for lo in range(0, len(s), per_block):
         _, totals = circle_actions_batch(thetas, r, s[lo : lo + per_block])
         # in place: one complex and one real block array are alive at a time
         mag = np.negative(totals.real)
         np.exp(mag, out=mag)
         w = np.exp(np.negative(totals, out=totals), out=totals)
-        sums += zip(w.sum(axis=1), (w.real**2).sum(axis=1), mag.sum(axis=1), (mag**2).sum(axis=1))
-    return [(size, complex(a), float(b), float(c), float(d)) for a, b, c, d in sums]
-
-
-def _batch_stats_list(params: FamilyParams, spec: MonteCarloSpec, s: np.ndarray) -> list[list[tuple]]:
-    sizes = spec.batch_sizes()
-    args = [(b, sz, params.L, params.radius, s, spec.seed) for b, sz in enumerate(sizes)]
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            return list(pool.map(lambda a: _mc_batch_stats(*a), args))
-    return [_mc_batch_stats(*a) for a in args]
-
-
-def _weighted_batch_se(batch_means: np.ndarray, batch_weights: np.ndarray) -> float:
-    mean = float((batch_weights * batch_means).sum())
-    var = float((batch_weights**2 * (batch_means - mean) ** 2).sum())
-    b = len(batch_means)
-    return math.sqrt(var * b / (b - 1))
-
-
-def _mc_result(alpha: complex, stats: list[tuple], params: FamilyParams) -> WignerSample:
-    """Combine the per-batch statistics of one point, in batch order."""
-    n = sum(st[0] for st in stats)
-    sum_w = sum(st[1] for st in stats)
-    sum_w_re2 = sum(st[2] for st in stats)
-    sum_mag = sum(st[3] for st in stats)
-    sum_mag2 = sum(st[4] for st in stats)
-
-    scale = _WIGNER_BOUND * math.exp(-params.log_z)
-    sizes = np.array([st[0] for st in stats], dtype=float)
-    weights = sizes / n
-    estimate = scale * sum_w.real / n
-    batch_means = np.array([scale * st[1].real / st[0] for st in stats])
-
-    if len(stats) > 1:
-        se = _weighted_batch_se(batch_means, weights)
-    else:
-        # single batch: fall back to the per-sample variance
-        var = max(sum_w_re2 / n - (sum_w.real / n) ** 2, 0.0)
-        se = scale * math.sqrt(var / max(n - 1, 1))
-
-    phase = min(1.0, abs(sum_w) / sum_mag) if sum_mag > 0 else 0.0
-    if len(stats) > 1:
-        batch_phase = np.array(
-            [min(1.0, abs(st[1]) / st[3]) if st[3] > 0 else 0.0 for st in stats]
+        sums[:, lo : lo + per_block] = (
+            w.sum(axis=1), (w.real**2).sum(axis=1), mag.sum(axis=1), (mag**2).sum(axis=1)
         )
-        phase_se = _weighted_batch_se(batch_phase, weights)
-    else:
-        phase_se = None
-    ess = sum_mag**2 / sum_mag2 if sum_mag2 > 0 else 0.0
+    return sums
 
-    return WignerSample(
-        alpha=alpha,
-        value=estimate,
-        method="monte-carlo",
-        standard_error=se,
-        mean_phase_magnitude=phase,
-        effective_sample_size=ess,
-        phase_standard_error=phase_se,
-    )
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _weighted_batch_se(batch_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Standard error of each point's weighted batch mean, from (batch, point)
+    values.  Each point is reduced along a contiguous row, which numpy sums
+    pairwise exactly as it sums a 1-D array."""
+    rows = np.ascontiguousarray(batch_values.T)
+    mean = (weights * rows).sum(axis=1)
+    var = (weights**2 * (rows - mean[:, None]) ** 2).sum(axis=1)
+    return np.sqrt(var * len(weights) / (len(weights) - 1))
 
 
 def wigner_montecarlo(
@@ -270,12 +230,50 @@ def wigner_montecarlo(
     to a single-point call there.  Each sample carries the standard error and
     the sign-problem diagnostics.  The estimate divides by the exact
     number-basis partition sum Z(L, N).
+
+    The batch sums of every point are combined at once.  Totals run over the
+    leading batch axis, which numpy adds in batch order; np.hypot and
+    np.float_power(x, 2) give the bits of abs(complex) and of float ** 2.
     """
     points, scalar = _points(alpha)
     if not points:
         return []
-    per_batch = _batch_stats_list(params, spec, np.abs(np.array(points)))
-    results = [_mc_result(a, stats, params) for a, stats in zip(points, zip(*per_batch))]
+    s = np.abs(np.array(points))
+    sizes = spec.batch_sizes()
+    args = [(b, size, params.L, params.radius, s, spec.seed) for b, size in enumerate(sizes)]
+    # one (4, point) array of sums per batch, stacked to (batch, 4, point)
+    if spec.workers > 1:
+        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+            stats = np.stack(list(pool.map(lambda a: _mc_batch_sums(*a), args)))
+    else:
+        stats = np.stack([_mc_batch_sums(*a) for a in args])
+    sum_w, *totals = stats.sum(axis=0)
+    sum_w_re2, sum_mag, sum_mag2 = (t.real for t in totals)
+
+    n = sum(sizes)
+    scale = _WIGNER_BOUND * math.exp(-params.log_z)
+    estimate = scale * sum_w.real / n
+    phase = np.fmin(1.0, _ratio(np.hypot(sum_w.real, sum_w.imag), sum_mag))
+    ess = _ratio(np.float_power(sum_mag, 2), sum_mag2)
+    if len(sizes) > 1:
+        batch_w, batch_n = stats[:, 0], np.array(sizes)
+        weights = batch_n / n
+        se = _weighted_batch_se(scale * batch_w.real / batch_n[:, None], weights)
+        batch_phase = np.fmin(1.0, _ratio(np.hypot(batch_w.real, batch_w.imag), stats[:, 2].real))
+        phase_se = _weighted_batch_se(batch_phase, weights).tolist()
+    else:
+        # single batch: fall back to the per-sample variance
+        var = np.maximum(sum_w_re2 / n - np.float_power(sum_w.real / n, 2), 0.0)
+        se = scale * np.sqrt(var / max(n - 1, 1))
+        phase_se = [None] * len(points)
+    columns = zip(points, estimate.tolist(), se.tolist(), phase.tolist(), ess.tolist(), phase_se)
+    results = [
+        WignerSample(
+            a, value, "monte-carlo", standard_error=error, mean_phase_magnitude=ph,
+            effective_sample_size=n_eff, phase_standard_error=ph_se,
+        )
+        for a, value, error, ph, n_eff, ph_se in columns
+    ]
     return results[0] if scalar else results
 
 
@@ -308,7 +306,9 @@ def midpoint_histogram(
     functional weight attached to each phase-space cell before the Gaussian
     end-gap factor ties it to an evaluation point.  Bins are indexed
     [re, im].  Only the alpha-free path terms are evaluated; no end term is
-    formed.
+    formed.  Batches are accumulated serially, in batch order, and
+    spec.workers is ignored: the bin sums depend on the order of the
+    additions.
     """
     if grid.half_width < params.radius + 3.0 - 1e-12:
         raise ValueError(

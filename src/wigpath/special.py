@@ -83,12 +83,10 @@ def log_factorial(n: int) -> float:
     if n > _LOGFACT_CAP:
         return math.lgamma(n + 1)
     if n >= len(_logfact_table):
+        # rebuilt as one running sum from k = 1, so no entry depends on the
+        # sizes the table grew through
         size = max(2 * len(_logfact_table), n + 1, 1024)
-        ks = np.arange(len(_logfact_table), size, dtype=float)
-        grown = np.empty(size)
-        grown[: len(_logfact_table)] = _logfact_table
-        grown[len(_logfact_table):] = np.cumsum(np.log(ks)) + _logfact_table[-1]
-        _logfact_table = grown
+        _logfact_table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, size)))))
     return float(_logfact_table[n])
 
 

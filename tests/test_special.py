@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wigpath import special
 from wigpath.special import (
     _i0_asymptotic_factor,
     _i0_series,
@@ -14,6 +15,7 @@ from wigpath.special import (
     log_factorial,
     log_factorials,
 )
+from wigpath.states import FamilyParams
 
 
 def bessel_i0(x: float) -> float:
@@ -147,6 +149,28 @@ def test_log_factorial_table_consistency():
     assert table[300] == pytest.approx(math.lgamma(301), rel=1e-14)
     # cumulative property
     assert table[137] - table[136] == pytest.approx(math.log(137.0), rel=1e-12)
+
+
+def test_log_factorials_do_not_depend_on_call_history(monkeypatch):
+    # every entry is one running sum of log k from k = 1, whatever sizes the
+    # table grew through on the way
+    running = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 5001.0)))))
+    for history in ((), (10, 1500, 3000), (2000,)):
+        monkeypatch.setattr(special, "_logfact_table", np.zeros(1))
+        for n in history:
+            log_factorial(n)
+        assert log_factorial(5000) == running[5000]
+        assert np.array_equal(log_factorials(5000), running)
+
+
+def test_family_weights_do_not_depend_on_earlier_members(monkeypatch):
+    monkeypatch.setattr(special, "_logfact_table", np.zeros(1))
+    fresh = FamilyParams(2, 1000.5)
+    monkeypatch.setattr(special, "_logfact_table", np.zeros(1))
+    FamilyParams(1, 2000.5)
+    later = FamilyParams(2, 1000.5)
+    assert np.array_equal(later.weight_array, fresh.weight_array)
+    assert later.log_z == fresh.log_z
 
 
 def test_log_factorial_rejects_negative():
