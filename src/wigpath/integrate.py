@@ -7,10 +7,12 @@ contracting a transfer matrix over the angle grid -- an exact reordering of
 the same sum, so the tensor-product budget guard is kept as stated.  The
 points of a call share one cached kernel, and a block of points is one BLAS
 product with it; outputs were measured byte-identical at OpenBLAS thread
-counts 1, 2 and the default.  The overall constant is anchored so that L = 1
-reproduces the Poisson closed form exactly; this fixes the 2/pi carried by
-the displaced-parity matrix element together with the (2 pi)^{-L} angle
-measure.
+counts 1, 2 and the default.  A point's end factor takes one complex exp per
+grid angle, and the factor at the other end is its conjugate; the incoherent
+mass of the realness check is formed only where the relative test fails.
+The overall constant is anchored so that L = 1 reproduces the Poisson closed
+form exactly; this fixes the 2/pi carried by the displaced-parity matrix
+element together with the (2 pi)^{-L} angle measure.
 
 Monte Carlo route: angles are sampled uniformly on the torus and the complex
 weight exp(-S) is averaged; the surviving mean phase magnitude is the standard
@@ -57,7 +59,8 @@ class QuadratureSpec:
 
     The budget guards the M^L grid points the sum stands for.  The work done
     is at most (L-1) M^3 for the kernel products, once per (L, N, M), plus
-    2 k M^2 for a call at k points.
+    k M^2 complex for a call at k points, plus M^2 real for each point that
+    fails the relative realness test, with one complex exp per (point, angle).
     """
 
     points_per_dim: int = 128
@@ -118,7 +121,7 @@ def _circle_kernel(r: float, L: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     phases = np.exp(2j * math.pi * np.arange(M) / M)
     t_link = np.exp(r2 * (phases - 1.0))
     h_end = np.exp(-r2 * (phases + 1.0))
-    diff = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
+    diff = (np.arange(M)[:, None] - np.arange(M)[None, :]) & (M - 1)
     B = np.linalg.matrix_power(t_link[diff], L - 1) * h_end[diff.T]
     abs_B = np.abs(B)
     if abs_B.max() < np.finfo(float).tiny:
@@ -153,20 +156,33 @@ def wigner_quadrature(
     results = []
     for block in np.split(flat, range(per_block, flat.size, per_block)):
         s = np.abs(block)[:, None]
-        phase = theta - np.angle(block)[:, None]
-        u = np.exp(2.0 * r * s * np.exp(-1j * phase) - s * s)
-        v = np.exp(2.0 * r * s * np.exp(1j * phase) - s * s)
-        total = ((u @ B) * v).sum(axis=1)
-        incoherent = ((np.abs(u) @ abs_B) * np.abs(v)).sum(axis=1)
+        # one unit phasor row per distinct point angle: a radial profile has one
+        angles, rows = np.unique(np.angle(block), return_inverse=True)
+        u = np.exp(-1j * (theta - angles[:, None]))[rows]
+        u *= 2.0 * r * s
+        u -= s * s
+        np.exp(u, out=u)
+        # the end factor at the other end is conj(u), formed in place (the mass
+        # below needs only |u|)
+        total = u @ B
+        total *= np.conjugate(u, out=u)
+        total = total.sum(axis=1)
         # a residue only signals a bug when it is large against both the real
-        # part and the incoherent mass; deep-cancellation tails sit at roundoff
-        for a, z, inc in zip(block, total, incoherent):
-            if abs(z.imag) > max(_IMAG_RESIDUE_TOL * abs(z.real), 1e-12 * inc):
-                raise RealnessError(
-                    f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
-                    f"(incoherent scale {inc:.3e}) at alpha = {a:.6g}"
-                )
-            results.append(WignerSample(complex(a), scale * float(z.real), "quadrature"))
+        # part and the incoherent mass; deep-cancellation tails sit at roundoff.
+        # The mass is formed only for points that fail the relative test.
+        suspect = np.flatnonzero(np.abs(total.imag) > _IMAG_RESIDUE_TOL * np.abs(total.real))
+        mag = np.abs(u[suspect])
+        incoherent = ((mag @ abs_B) * mag).sum(axis=1)
+        failed = np.abs(total.imag[suspect]) > 1e-12 * incoherent
+        if failed.any():
+            k = failed.argmax()
+            z, inc, a = total[suspect[k]], incoherent[k], block[suspect[k]]
+            raise RealnessError(
+                f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
+                f"(incoherent scale {inc:.3e}) at alpha = {a:.6g}"
+            )
+        values = zip(block, (scale * total.real).tolist())
+        results += [WignerSample(complex(a), x, "quadrature") for a, x in values]
     return results[0] if scalar else results
 
 

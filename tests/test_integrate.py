@@ -179,6 +179,79 @@ def test_quadrature_non_hermitian_kernel_raises(monkeypatch):
         wigner_quadrature(np.array([0.0, 0.8, 1.6]), FamilyParams(3, 1.5))
 
 
+def reference_contraction(block, params, M):
+    """Grid sums and incoherent masses of one block of points, formed as the
+    earlier contraction formed them: exp(-1j*phase) and exp(1j*phase) apiece,
+    separate end factors u and v, and the incoherent mass at every point."""
+    B, abs_B = integrate._circle_kernel(params.radius, params.L, M)
+    theta = 2.0 * math.pi * np.arange(M) / M
+    s = np.abs(block)[:, None]
+    phase = theta - np.angle(block)[:, None]
+    u = np.exp(2.0 * params.radius * s * np.exp(-1j * phase) - s * s)
+    v = np.exp(2.0 * params.radius * s * np.exp(1j * phase) - s * s)
+    total = ((u @ B) * v).sum(axis=1)
+    incoherent = ((np.abs(u) @ abs_B) * np.abs(v)).sum(axis=1)
+    return total, incoherent
+
+
+def reference_values(alphas, params, M, per_block):
+    scale = (2.0 / math.pi) * math.exp(-params.log_z - params.L * math.log(M))
+    values = []
+    for lo in range(0, len(alphas), per_block):
+        total, _ = reference_contraction(alphas[lo : lo + per_block], params, M)
+        values += [scale * float(z.real) for z in total]
+    return values
+
+
+@pytest.mark.parametrize("L, N, M", [(1, 2.5, 64), (3, 1.5, 128), (2, 10.5, 256), (4, 4.5, 32)])
+def test_quadrature_contraction_bit_identical_to_reference(monkeypatch, L, N, M):
+    params = FamilyParams(L, N)
+    spec = QuadratureSpec(points_per_dim=M)
+    alphas = np.concatenate([
+        np.linspace(0.0, params.radius + 3.0, 23),  # radial profile, alpha = 0 first
+        1.7 * np.exp(2j * math.pi * np.arange(9) / 9),  # ring of distinct angles
+        [-0.5, -1.3, complex(-2.0, -0.0)],  # negative real axis, at angle pi and -pi
+    ])
+    values = [res.value for res in wigner_quadrature(alphas, params, spec)]
+    assert values == reference_values(alphas, params, M, len(alphas))
+    for alpha in alphas:
+        one = wigner_quadrature(complex(alpha), params, spec).value
+        assert one == reference_values(np.array([alpha]), params, M, 1)[0]
+    monkeypatch.setattr(integrate, "_QUAD_BLOCK_ENTRIES", 5 * M)
+    blocked = [res.value for res in wigner_quadrature(alphas, params, spec)]
+    assert blocked == reference_values(alphas, params, M, 5)
+
+
+def test_quadrature_realness_error_names_first_failing_point(monkeypatch):
+    kernel = integrate._circle_kernel
+
+    def skewed(r, L, M):
+        # Im z becomes 1e-7 Re(sum u |B| conj(u)), which only the incoherent
+        # scale tells apart from roundoff far outside the circle
+        B, abs_B = kernel(r, L, M)
+        return B + 1e-7j * abs_B, abs_B
+
+    monkeypatch.setattr(integrate, "_circle_kernel", skewed)
+    monkeypatch.setattr(integrate, "_QUAD_BLOCK_ENTRIES", 2 * 128)
+    params = FamilyParams(3, 1.5)
+    alphas = np.array([4.5, 4.2, -4.5, 0.0, 1.0], dtype=complex)
+    total, incoherent = reference_contraction(alphas, params, 128)
+    suspect = np.abs(total.imag) > 1e-10 * np.abs(total.real)
+    failed = suspect & (np.abs(total.imag) > 1e-12 * incoherent)
+    # the first block holds a point that passes outright and a suspect that
+    # the incoherent scale clears; the second block fails at alpha = 0
+    assert suspect.tolist() == [False, True, False, True, True]
+    assert failed.tolist() == [False, False, False, True, True]
+    z, inc = total[3], incoherent[3]
+    message = (
+        f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
+        f"(incoherent scale {inc:.3e}) at alpha = {alphas[3]:.6g}"
+    )
+    with pytest.raises(RealnessError) as raised:
+        wigner_quadrature(alphas, params)
+    assert str(raised.value) == message
+
+
 def test_quadrature_kernel_underflow_raises():
     # at L = 1 every kernel entry is exp(-2N), below the smallest double here
     N = 400.5
@@ -267,9 +340,15 @@ def per_radius_reference(s, params, spec):
             (size, complex(w.sum()), float((w.real**2).sum()), float(mag.sum()),
              float((mag**2).sum()))
         )
-    n = sum(st[0] for st in stats)
-    sum_w = sum(st[1] for st in stats)
-    sum_mag = sum(st[3] for st in stats)
+    # batch totals are added one by one in batch order, as the library adds
+    # them; the builtin sum compensates float additions from Python 3.12 on
+    n, sum_w, sum_w_re2, sum_mag, sum_mag2 = 0, 0j, 0.0, 0.0, 0.0
+    for size, w_total, w_re2, mag_total, mag2 in stats:
+        n += size
+        sum_w += w_total
+        sum_w_re2 += w_re2
+        sum_mag += mag_total
+        sum_mag2 += mag2
     scale = (2.0 / math.pi) * math.exp(-params.log_z)
     weights = np.array([st[0] for st in stats], dtype=float) / n
 
@@ -284,7 +363,7 @@ def per_radius_reference(s, params, spec):
         se = batch_se(means)
         phase_se = batch_se(np.array([min(1.0, abs(st[1]) / st[3]) for st in stats]))
     else:
-        var = max(sum(st[2] for st in stats) / n - (sum_w.real / n) ** 2, 0.0)
+        var = max(sum_w_re2 / n - (sum_w.real / n) ** 2, 0.0)
         se = scale * math.sqrt(var / max(n - 1, 1))
         phase_se = None
     return WignerSample(
@@ -293,7 +372,7 @@ def per_radius_reference(s, params, spec):
         method="monte-carlo",
         standard_error=se,
         mean_phase_magnitude=min(1.0, abs(sum_w) / sum_mag),
-        effective_sample_size=sum_mag**2 / sum(st[4] for st in stats),
+        effective_sample_size=sum_mag**2 / sum_mag2,
         phase_standard_error=phase_se,
     )
 
