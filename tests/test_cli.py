@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wigpath
 from wigpath import cli
 from wigpath.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from wigpath.integrate import RealnessError
@@ -21,6 +22,12 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def test_package_exports_resolve():
+    missing = [name for name in wigpath.__all__ if not hasattr(wigpath, name)]
+    assert not missing
+    assert len(set(wigpath.__all__)) == len(wigpath.__all__)
 
 
 def test_profile_number_exact(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wigpath import integrate
-from wigpath.action import CirclePath, circle_actions_batch, circle_path_terms, total_action
+from wigpath.action import CirclePath, circle_actions_batch, circle_phasors, total_action
 from wigpath.integrate import (
     BudgetError,
     MidpointGrid,
@@ -171,8 +171,7 @@ def test_quadrature_non_hermitian_kernel_raises(monkeypatch):
     kernel = integrate._circle_kernel
 
     def skewed(r, L, M):
-        B, abs_B = kernel(r, L, M)
-        return B * (1.0 + 0.1j), abs_B
+        return kernel(r, L, M) * (1.0 + 0.1j)
 
     monkeypatch.setattr(integrate, "_circle_kernel", skewed)
     with pytest.raises(RealnessError):
@@ -183,14 +182,14 @@ def reference_contraction(block, params, M):
     """Grid sums and incoherent masses of one block of points, formed as the
     earlier contraction formed them: exp(-1j*phase) and exp(1j*phase) apiece,
     separate end factors u and v, and the incoherent mass at every point."""
-    B, abs_B = integrate._circle_kernel(params.radius, params.L, M)
+    B = integrate._circle_kernel(params.radius, params.L, M)
     theta = 2.0 * math.pi * np.arange(M) / M
     s = np.abs(block)[:, None]
     phase = theta - np.angle(block)[:, None]
     u = np.exp(2.0 * params.radius * s * np.exp(-1j * phase) - s * s)
     v = np.exp(2.0 * params.radius * s * np.exp(1j * phase) - s * s)
     total = ((u @ B) * v).sum(axis=1)
-    incoherent = ((np.abs(u) @ abs_B) * np.abs(v)).sum(axis=1)
+    incoherent = ((np.abs(u) @ np.abs(B)) * np.abs(v)).sum(axis=1)
     return total, incoherent
 
 
@@ -228,8 +227,8 @@ def test_quadrature_realness_error_names_first_failing_point(monkeypatch):
     def skewed(r, L, M):
         # Im z becomes 1e-7 Re(sum u |B| conj(u)), which only the incoherent
         # scale tells apart from roundoff far outside the circle
-        B, abs_B = kernel(r, L, M)
-        return B + 1e-7j * abs_B, abs_B
+        B = kernel(r, L, M)
+        return B + 1e-7j * np.abs(B)
 
     monkeypatch.setattr(integrate, "_circle_kernel", skewed)
     monkeypatch.setattr(integrate, "_QUAD_BLOCK_ENTRIES", 2 * 128)
@@ -295,7 +294,7 @@ def test_montecarlo_z_routes_agree():
     spec = MonteCarloSpec(samples=400_000, seed=9)
     w = np.concatenate(
         [
-            np.exp(-circle_path_terms(batch_angles(spec, b, size, params.L), params.radius))
+            np.exp(-circle_phasors(batch_angles(spec, b, size, params.L), params.radius)[1])
             for b, size in enumerate(spec.batch_sizes())
         ]
     ).real
@@ -333,7 +332,8 @@ def per_radius_reference(s, params, spec):
     radius, reduce over the samples, then combine the batches in order."""
     stats = []
     for b, size in enumerate(spec.batch_sizes()):
-        _, totals = circle_actions_batch(batch_angles(spec, b, size, params.L), params.radius, s)
+        thetas = batch_angles(spec, b, size, params.L)
+        totals = circle_actions_batch(thetas, params.radius, np.array([s]))[0]
         w = np.exp(-totals)
         mag = np.exp(-totals.real)
         stats.append(
@@ -462,13 +462,13 @@ def test_midpoint_histogram_empty_bin_warning():
 
 
 def reference_midpoint_histogram(params, spec, grid):
-    # per batch: the full actions of circle_actions_batch and an np.add.at scatter
+    # per batch: the path terms of circle_phasors and an np.add.at scatter
     r = params.radius
     hist = np.zeros((grid.bins, grid.bins), dtype=complex)
     for b, size in enumerate(spec.batch_sizes()):
         rng = np.random.Generator(np.random.Philox(spec.seed).jumped(b))
         thetas = rng.uniform(0.0, 2.0 * math.pi, size=(size, params.L))
-        path_terms = circle_actions_batch(thetas, r, 0.0)[0]
+        path_terms = circle_phasors(thetas, r)[1]
         mid = 0.5 * r * (np.exp(1j * thetas[:, 0]) + np.exp(1j * thetas[:, -1]))
         np.add.at(hist, (grid.index(mid.real), grid.index(mid.imag)), np.exp(-path_terms))
     return hist

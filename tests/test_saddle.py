@@ -17,7 +17,6 @@ from wigpath.saddle import (
     interior_phase,
     solve_saddle,
     singular_zone,
-    stationary_action,
     time_reversed,
     wigner_saddle,
 )
@@ -114,29 +113,27 @@ def test_exterior_saddle_is_imaginary_and_decaying():
 
 
 def test_stationary_action_zero_at_circle_touch():
-    sol = SaddleSolution(
-        theta=0.0, L=16, s=1.0, r=1.0, stationary_action=0.0, branch="interior",
-        t=1.0 + 0j, log_det_hessian=None,
-    )
-    assert stationary_action(sol) == pytest.approx(0.0 + 0.0j, abs=1e-15)
+    # theta = 0 is the arc at s = r, inside the turning annulus solve_saddle rejects
+    assert saddle._action(0.0, 1.0, 16) == pytest.approx(0.0 + 0.0j, abs=1e-15)
+    assert saddle._action(0.0, 1.0, None) == pytest.approx(0.0 + 0.0j, abs=1e-15)
 
 
 def test_stationary_action_limit_at_origin():
     sol = solve_saddle(0.0, math.sqrt(10.5), None)
-    assert stationary_action(sol) == pytest.approx(1j * math.pi * 10.5, rel=1e-13)
+    assert sol.stationary_action == pytest.approx(1j * math.pi * 10.5, rel=1e-13)
 
 
 def test_stationary_action_frozen_value():
     r = math.sqrt(1.5)
     sol = solve_saddle(0.8 * r, r, 32)
     assert sol.stationary_action == pytest.approx(S0_L32, rel=1e-12)
-    assert stationary_action(sol) == pytest.approx(S0_L32, rel=1e-12)
+    assert sol.stationary_action == saddle._action(sol.theta, r, 32)
 
 
 def test_action_limit_gap_halves_with_l():
     r = math.sqrt(1.5)
     s = 0.8 * r
-    limit = stationary_action(solve_saddle(s, r, None))
+    limit = solve_saddle(s, r, None).stationary_action
     gaps = [abs(solve_saddle(s, r, L).stationary_action - limit) for L in (64, 128, 256, 512)]
     assert gaps[-1] < 1e-2
     for a, b in zip(gaps, gaps[1:]):
@@ -146,11 +143,7 @@ def test_action_limit_gap_halves_with_l():
 
 def test_hessian_determinant_t_equal_one():
     # theta = 0 gives t = 1: bracket (1+L) + 2 - (L-1) = 4, so det = 4 r^6 at L=3
-    sol = SaddleSolution(
-        theta=0.0, L=3, s=0.5, r=1.3, stationary_action=0.0, branch="interior",
-        t=1.0 + 0j, log_det_hessian=None,
-    )
-    assert cmath.exp(hessian_log_det(sol)) == pytest.approx(4.0 * 1.3**6, rel=1e-12)
+    assert cmath.exp(hessian_log_det(0.0, 1.3, 3)) == pytest.approx(4.0 * 1.3**6, rel=1e-12)
 
 
 def test_hessian_closed_form_vs_dense():
@@ -159,20 +152,15 @@ def test_hessian_closed_form_vs_dense():
         for _ in range(20):
             theta = complex(rng.normal(0, 1), rng.normal(0, 0.3))
             r = 1.0 + 2.0 * rng.random()
-            sol = SaddleSolution(
-                theta=theta, L=L, s=0.0, r=r, stationary_action=0.0,
-                branch="interior", t=cmath.exp(2j * L * theta / (L - 1)),
-                log_det_hessian=None,
-            )
-            sign, logabs = np.linalg.slogdet(hessian_matrix(sol))
+            sign, logabs = np.linalg.slogdet(hessian_matrix(theta, r, L))
             dense = sign * math.exp(logabs)
-            closed = cmath.exp(hessian_log_det(sol))
+            closed = cmath.exp(hessian_log_det(theta, r, L))
             assert abs(dense - closed) / abs(closed) <= 1e-10
 
 
 def test_hessian_solved_saddle_vs_dense():
     sol = solve_saddle(0.5, math.sqrt(10.5), 8)
-    sign, logabs = np.linalg.slogdet(hessian_matrix(sol))
+    sign, logabs = np.linalg.slogdet(hessian_matrix(sol.theta, sol.r, sol.L))
     dense = sign * math.exp(logabs)
     assert abs(dense - cmath.exp(sol.log_det_hessian)) / abs(dense) <= 1e-10
 
@@ -181,7 +169,9 @@ def test_hessian_requires_l_above_two():
     sol = solve_saddle(0.5, 1.0, 2)
     assert sol.log_det_hessian is None
     with pytest.raises(ValueError):
-        hessian_log_det(sol)
+        hessian_log_det(sol.theta, sol.r, sol.L)
+    with pytest.raises(ValueError):
+        hessian_matrix(sol.theta, sol.r, sol.L)
 
 
 def test_saddle_angles_equally_spaced():

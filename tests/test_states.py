@@ -327,7 +327,7 @@ def test_marginals_match_hermite_densities():
 
 def test_wigner_sample_bound_enforced_for_exact_tags():
     with pytest.raises(ValueError):
-        WignerSample(alpha=0j, value=0.7, method="spectral")
+        WignerSample(alpha=0j, value=0.7, method="quadrature")
     WignerSample(alpha=0j, value=5.0, method="saddle")  # asymptotic tags exempt
     WignerSample(alpha=0j, value=0.7, method="monte-carlo")  # noise may cross the bound
     with pytest.raises(ValueError):
