@@ -17,6 +17,7 @@ from .integrate import (
     MonteCarloSpec,
     QuadratureSpec,
     RealnessError,
+    SignProblemError,
     midpoint_histogram,
     smoothed_wigner_from_histogram,
     wigner_montecarlo,
@@ -42,7 +43,6 @@ from .saddle import (
 from .special import log_bessel_i0, log_factorial
 from .states import (
     FamilyParams,
-    TruncationError,
     WignerSample,
     gaussian_convolve_p1,
     wigner_number,
@@ -64,7 +64,7 @@ __all__ = [
     "RealnessError",
     "RegionError",
     "SaddleSolution",
-    "TruncationError",
+    "SignProblemError",
     "WignerSample",
     "alpha_from_qp",
     "chord_midpoint",

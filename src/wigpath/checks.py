@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner
 from .saddle import hessian_log_det, hessian_matrix
 from .states import (
     FamilyParams,
-    QuadratureConvergenceError,
+    refine_by_doubling,
     wigner_number,
     wigner_poisson,
     wigner_spectral,
@@ -66,18 +65,7 @@ def radial_normalization(profile, s_max: float) -> tuple[float, float]:
         # 2 pi times the Jacobian s_max / 2 of the map from [-1, 1]
         return math.pi * s_max * float(np.dot(w, np.asarray(profile(s), dtype=float) * s))
 
-    nodes = _GL_FIRST_NODES
-    prev = rule(nodes)
-    while nodes < _GL_MAX_NODES:
-        nodes *= 2
-        cur = rule(nodes)
-        err = abs(cur - prev)
-        if err <= _GL_TOL:
-            return cur, err
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"radial normalization did not converge by {nodes} Gauss-Legendre nodes", err
-    )
+    return refine_by_doubling(rule, _GL_FIRST_NODES, _GL_MAX_NODES, _GL_TOL, "radial normalization")
 
 
 def check_oracle(points: int = 20, M: int = 128) -> list[CheckResult]:
@@ -211,33 +199,15 @@ SUITES = {
 
 def run_suite(name: str, **kwargs) -> dict:
     """Run one named suite (or "all") and assemble a machine-readable report."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown check suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    started = time.time()
+    names = list(SUITES) if name == "all" else [name]
     results: list[CheckResult] = []
     for suite in names:
         results.extend(SUITES[suite](**kwargs) if suite == "sign" else SUITES[suite]())
     return {
         "suites": names,
         "passed": bool(all(r.passed for r in results)),
-        "elapsed_seconds": time.time() - started,
-        "checks": [
-            {"name": r.name, "passed": bool(r.passed), "detail": _plain(r.detail)}
-            for r in results
-        ],
+        "checks": [{"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results],
     }
 
-
-def _plain(obj):
-    """Recursively convert numpy scalars for JSON serialization."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj

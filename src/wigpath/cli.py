@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import run_suite, sign_rows
+from .checks import SUITES, run_suite, sign_rows
 from .integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
 from .saddle import RegionError, singular_zone, solve_saddle, wigner_saddle
 from .states import FamilyParams, wigner_number, wigner_poisson, wigner_spectral
@@ -423,7 +423,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     fig.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
 
     chk = sub.add_parser("check", help="run a named cross-validation suite")
-    chk.add_argument("suite", choices=["oracle", "normalization", "determinant", "sign", "all"])
+    chk.add_argument("suite", choices=[*SUITES, "all"])
     chk.add_argument("--out", dest="output")
     chk.add_argument("--L-max", dest="L_max", type=int, default=5, help="sign suite: largest L")
     chk.add_argument("--samples", type=int, default=200_000, help="sign suite: samples per L")

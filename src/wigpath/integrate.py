@@ -43,6 +43,9 @@ _IMAG_RESIDUE_TOL = 1e-10
 _BLOCK_ENTRIES = 1_000_000
 # (radius, angle) entries per block of the quadrature factors
 _QUAD_BLOCK_ENTRIES = 2**16
+# a Monte Carlo point below this effective sample size raises: a few samples
+# carry its whole estimate and standard error
+_MIN_ESS = 5.0
 
 
 class BudgetError(ValueError):
@@ -51,6 +54,10 @@ class BudgetError(ValueError):
 
 class RealnessError(RuntimeError):
     """Imaginary residue of the quadrature sum above tolerance."""
+
+
+class SignProblemError(RuntimeError):
+    """Monte Carlo weights too uneven at a point for its estimate to mean anything."""
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,9 @@ def wigner_quadrature(
     if the grid sum at a point fails to be real to 1e-10 relative (the
     uniform grid pairs every path with its time reverse, so a residue signals
     a bug rather than a numerical limit).
+
+    Array rows match one-point calls to about 1 ulp, not bit for bit: numpy
+    sends one row to BLAS gemv and a block to gemm, which add in another order.
     """
     spec.check_budget(params.L)
     points, scalar = _points(alpha)
@@ -151,6 +161,7 @@ def wigner_quadrature(
     theta = 2.0 * math.pi * np.arange(M) / M
     scale = _WIGNER_BOUND * math.exp(-params.log_z - params.L * math.log(M))
     per_block = max(1, _QUAD_BLOCK_ENTRIES // M)
+    abs_B = None  # |B|, formed at the first block with a suspect point
     results = []
     for block in np.split(flat, range(per_block, flat.size, per_block)):
         s = np.abs(block)[:, None]
@@ -171,8 +182,10 @@ def wigner_quadrature(
         # relative test.
         suspect = np.flatnonzero(np.abs(total.imag) > _IMAG_RESIDUE_TOL * np.abs(total.real))
         if suspect.size:
+            if abs_B is None:
+                abs_B = np.abs(B)
             mag = np.abs(u[suspect])
-            incoherent = ((mag @ np.abs(B)) * mag).sum(axis=1)
+            incoherent = ((mag @ abs_B) * mag).sum(axis=1)
             failed = np.flatnonzero(np.abs(total.imag[suspect]) > 1e-12 * incoherent)
             if failed.size:
                 k = failed[0]
@@ -245,7 +258,8 @@ def wigner_montecarlo(
     draws serves every point, and the result at each point is bit-identical
     to a single-point call there.  Each sample carries the standard error and
     the sign-problem diagnostics.  The estimate divides by the exact
-    number-basis partition sum Z(L, N).
+    number-basis partition sum Z(L, N).  Raises :class:`SignProblemError`,
+    naming the first such point, where the effective sample size is below 5.
 
     The batch sums of every point are combined at once.  Totals run over the
     leading batch axis, which numpy adds in batch order; np.hypot and
@@ -271,6 +285,13 @@ def wigner_montecarlo(
     estimate = scale * sum_w.real / n
     phase = np.fmin(1.0, _ratio(np.hypot(sum_w.real, sum_w.imag), sum_mag))
     ess = _ratio(np.float_power(sum_mag, 2), sum_mag2)
+    low = np.flatnonzero(ess < _MIN_ESS)
+    if low.size:
+        k = low[0]
+        raise SignProblemError(
+            f"effective sample size {ess[k]:.3g} of {n} samples is below the floor "
+            f"{_MIN_ESS:g} at alpha = {points[k]:.6g}: the sign problem hides the value"
+        )
     if len(sizes) > 1:
         batch_w, batch_n = stats[:, 0], np.array(sizes)
         weights = batch_n / n

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_space import polar
 from .special import laguerre_all, log_bessel_i0, log_factorial, log_factorials
 
 # Truncation rule: drop levels whose log weight trails the peak by more than
@@ -31,16 +30,27 @@ _WIGNER_BOUND = 2.0 / math.pi
 _LAGUERRE_BLOCK_ENTRIES = 2**16
 
 
-class TruncationError(ValueError):
-    """Requested basis cutoff cannot meet the weight-tail bound."""
-
-
 class QuadratureConvergenceError(RuntimeError):
     """Adaptive quadrature stopped refining before reaching tolerance."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
         self.achieved = achieved
+
+
+def refine_by_doubling(rule, first: int, cap: int, tol: float, what: str) -> tuple[float, float]:
+    """rule(n) at n = first, 2 first, ... until two successive values agree to
+    tol; returns (value, |difference|).  Raises QuadratureConvergenceError,
+    with the last difference as `achieved`, once n = cap has not converged."""
+    n, prev = first, rule(first)
+    while n < cap:
+        n *= 2
+        cur = rule(n)
+        err = abs(cur - prev)
+        if err <= tol:
+            return cur, err
+        prev = cur
+    raise QuadratureConvergenceError(f"{what} did not converge by n = {n}", err)
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,14 @@ class WignerSample:
 class FamilyParams:
     """Parameters (L, N) of one family member, with cached weights.
 
-    Construction computes the truncated, normalized number-basis weights and
-    the log partition sum; instances are immutable afterwards and safe to
-    share across workers.
+    Construction computes the basis cutoff n_max (the truncation rule below),
+    the normalized number-basis weights and the log partition sum; instances
+    are immutable afterwards and safe to share across workers.
     """
 
     L: int
     N: float
-    n_max: int | None = None
+    n_max: int = field(init=False)
     weight_array: np.ndarray = field(init=False, repr=False, compare=False)
     log_z: float = field(init=False, compare=False)
 
@@ -103,17 +113,9 @@ class FamilyParams:
                 "number level",
                 stacklevel=3,  # past the generated __init__, to the caller
             )
-        n_floor = self._tail_cutoff()
-        n_max = n_floor if self.n_max is None else self.n_max
-        object.__setattr__(self, "n_max", n_max)
-
+        object.__setattr__(self, "n_max", self._tail_cutoff())
         n0 = math.floor(self.N)
-        ell = self._log_weights_unnormalized(n_max, n0)
-        if ell[-1] > ell.max() - _TAIL_LOG_DROP:
-            raise TruncationError(
-                f"n_max = {n_max} leaves a weight tail above 1e-20 of the peak "
-                f"(need n_max >= {n_floor} for L={self.L}, N={self.N})"
-            )
+        ell = self._log_weights_unnormalized(self.n_max, n0)
         peak = ell.max()
         log_sum = peak + math.log(np.exp(ell - peak).sum())
         log_peak_level = self.L * (n0 * math.log(self.N) - log_factorial(n0) - self.N)
@@ -222,22 +224,18 @@ def wigner_spectral(alpha, params: FamilyParams) -> float | np.ndarray:
     )
 
 
-def gaussian_convolve_p1(
-    alpha: complex,
-    N: float,
-    tol: float = 1e-10,
-    max_points: int = 1 << 20,
-) -> tuple[float, float]:
+def gaussian_convolve_p1(alpha: complex, N: float) -> tuple[float, float]:
     """Wigner value of the Poisson member from its circle-supported weight
     function, as the Gaussian smoothing (2/pi) avg_theta exp(-2|alpha - sqrt(N) e^{i theta}|^2).
 
     Cross-check oracle for :func:`wigner_poisson`; the angular average uses
     doubling trapezoid refinement (spectrally accurate on periodic
-    integrands).  Returns (value, achieved error estimate).
+    integrands) to 1e-10 in its log, from 32 up to 2^20 points.  Returns
+    (value, achieved error estimate).
     """
     if not N > 0:
         raise ValueError("N must be positive")
-    s, _ = polar(alpha)
+    s = abs(alpha)
     m = 4.0 * math.sqrt(N) * s
 
     def log_avg(points: int) -> float:
@@ -245,18 +243,6 @@ def gaussian_convolve_p1(
         # integrand e^{m cos theta}, factored so the grid values stay in (0, 1]
         return m + math.log(np.exp(m * (np.cos(theta) - 1.0)).mean())
 
-    points = 32
-    prev = log_avg(points)
-    while True:
-        points *= 2
-        cur = log_avg(points)
-        err = abs(cur - prev)
-        if err <= tol:
-            break
-        if points >= max_points:
-            raise QuadratureConvergenceError(
-                f"angular average did not converge by {points} points", err
-            )
-        prev = cur
-    value = _WIGNER_BOUND * math.exp(-2.0 * s * s - 2.0 * N + cur)
+    log_value, err = refine_by_doubling(log_avg, 32, 1 << 20, 1e-10, "angular average")
+    value = _WIGNER_BOUND * math.exp(-2.0 * s * s - 2.0 * N + log_value)
     return value, err * abs(value)

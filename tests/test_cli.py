@@ -250,6 +250,22 @@ def test_profile_non_finite_value_exits_3(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_profile_mc_sign_problem_exits_3(tmp_path, capsys):
+    # uniform Monte Carlo cannot resolve W = 3.4e-5 here (effective sample size
+    # about 1); the run must fail instead of writing W ~ 1e-19 and exiting 0
+    out = tmp_path / "mc.csv"
+    code = main(
+        ["profile", "--state", "family", "--L", "12", "--N", "30.5", "--method", "mc",
+         "--rmin", "2", "--rmax", "2", "--points", "1", "--samples", "400000", "--seed", "1",
+         "--out", str(out)]
+    )
+    assert code == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert "SignProblemError: effective sample size" in err
+    assert "below the floor 5 at alpha = 2+0j" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_value_error_during_run_exits_3(tmp_path, monkeypatch, capsys):
     # a ValueError raised while values are computed is a run error, not a config error
     def broken(alpha, params):
@@ -405,6 +421,14 @@ def test_check_determinant_passes(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["passed"] is True
     assert {c["name"] for c in report["checks"]} == {f"determinant L={L}" for L in range(3, 11)}
+
+
+def test_check_report_bytes_reproducible(tmp_path):
+    # the report carries no timing; its sidecar records the wall time
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["check", "determinant", "--out", str(first)]) == EXIT_OK
+    assert main(["check", "determinant", "--out", str(second)]) == EXIT_OK
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_check_sign_trend(tmp_path):

@@ -17,6 +17,7 @@ from wigpath.integrate import (
     MonteCarloSpec,
     QuadratureSpec,
     RealnessError,
+    SignProblemError,
     midpoint_histogram,
     smoothed_wigner_from_histogram,
     wigner_montecarlo,
@@ -402,6 +403,19 @@ def test_montecarlo_scalar_call_is_one_point_array_call():
         (single,) = wigner_montecarlo(np.array([alpha]), params, spec)
         assert wigner_montecarlo(alpha, params, spec) == single
         assert single.alpha == alpha and single.method == "monte-carlo"
+
+
+def test_montecarlo_sign_problem_raises_instead_of_a_silent_zero():
+    # uniform sampling at L = 12, N = 30.5, s = 2 keeps an effective sample
+    # size of about 1 in 4e5 samples and would report W ~ 1e-19 +- 1e-19,
+    # where the exact value is 3.4e-5
+    params = FamilyParams(12, 30.5)
+    spec = MonteCarloSpec(samples=400_000, seed=1)
+    floor_message = (
+        r"effective sample size 1\.\d+ of 400000 samples is below the floor 5 at alpha = 2\+0j"
+    )
+    with pytest.raises(SignProblemError, match=floor_message):
+        wigner_montecarlo(2.0 + 0j, params, spec)
 
 
 def test_montecarlo_radius_blocks_do_not_change_results(monkeypatch):

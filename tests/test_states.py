@@ -13,9 +13,9 @@ from wigpath.special import log_factorial
 from wigpath.states import (
     FamilyParams,
     QuadratureConvergenceError,
-    TruncationError,
     WignerSample,
     gaussian_convolve_p1,
+    refine_by_doubling,
     wigner_number,
     wigner_poisson,
     wigner_spectral,
@@ -78,11 +78,6 @@ def test_family_weights_match_exact_rationals_at_large_L(L):
     off[level] -= 1.0
     tv = 0.5 * float(np.abs(off).sum())
     assert abs(tv - exact) <= 1e-12 * exact
-
-
-def test_truncation_error_when_n_max_too_small():
-    with pytest.raises(TruncationError):
-        FamilyParams(2, 10.5, n_max=15)
 
 
 def test_integer_n_flagged():
@@ -247,6 +242,22 @@ def test_radial_normalization_unconverged_rule_raises():
     with pytest.raises(QuadratureConvergenceError) as info:
         radial_normalization(lambda rs: (rs < 1.0).astype(float), 2.5)
     assert info.value.achieved > 1e-12
+
+
+def test_refine_by_doubling_raises_at_its_cap():
+    # a rule that never settles is evaluated at first, 2 first, ..., cap
+    seen = []
+
+    def rule(n):
+        seen.append(n)
+        return float(n)
+
+    with pytest.raises(QuadratureConvergenceError, match="did not converge by n = 64") as info:
+        refine_by_doubling(rule, 8, 64, 1e-3, "test rule")
+    assert seen == [8, 16, 32, 64]
+    assert info.value.achieved == 32.0
+    # a rule that settles returns its last value and the last difference
+    assert refine_by_doubling(lambda n: 1.0 / n, 8, 64, 0.05, "test rule") == (1 / 32, 1 / 32)
 
 
 def test_closed_forms_raise_on_overflow():
