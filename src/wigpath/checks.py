@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss  # numpy loads this submodule lazily otherwise
 
-from .integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
+from .integrate import (
+    MonteCarloSpec,
+    QuadratureSpec,
+    SignProblemError,
+    wigner_montecarlo,
+    wigner_quadrature,
+)
 from .saddle import hessian_log_det, hessian_matrix
 from .states import (
     FamilyParams,
@@ -151,23 +157,31 @@ def check_determinant(n_random: int = 50, seed: int = 20230914, tol: float = 1e-
     return out
 
 
+_SIGN_COLUMNS = (
+    "L", "estimate", "standard_error", "mean_phase_magnitude", "phase_standard_error",
+    "effective_sample_size",
+)
+
+
 def sign_rows(members: list[FamilyParams], alpha: complex, spec: MonteCarloSpec) -> list[dict]:
     """One row of Monte Carlo sign-problem diagnostics per family member in
     `members`, at the point alpha: L, the estimate and its standard error, the
-    mean phase magnitude and its standard error, and the effective sample size."""
+    mean phase magnitude and its standard error, and the effective sample size.
+    Where the sign problem hides the value (SignProblemError) the row keeps the
+    mean phase magnitude and the effective sample size, and the other entries
+    are None."""
     rows = []
     for params in members:
-        res = wigner_montecarlo(alpha, params, spec)
-        rows.append(
-            {
-                "L": params.L,
-                "estimate": res.value,
-                "standard_error": res.standard_error,
-                "mean_phase_magnitude": res.mean_phase_magnitude,
-                "phase_standard_error": res.phase_standard_error,
-                "effective_sample_size": res.effective_sample_size,
-            }
-        )
+        try:
+            res = wigner_montecarlo(alpha, params, spec)
+        except SignProblemError as exc:
+            row = (None, None, exc.mean_phase_magnitude, None, exc.effective_sample_size)
+        else:
+            row = (
+                res.value, res.standard_error, res.mean_phase_magnitude,
+                res.phase_standard_error, res.effective_sample_size,
+            )
+        rows.append(dict(zip(_SIGN_COLUMNS, (params.L, *row))))
     return rows
 
 

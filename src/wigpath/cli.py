@@ -69,6 +69,17 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _fmt_column(column) -> list[str]:
+    """`_fmt` of each entry of one column (an array, or a list of floats and
+    None), after one finiteness pass over its numbers."""
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    numbers = np.array([x for x in cells if x is not None], dtype=float)
+    finite = np.isfinite(numbers)
+    if not finite.all():
+        raise FloatingPointError(f"non-finite output value {numbers[~finite][0]}")
+    return ["" if x is None else format(x, ".17g") for x in cells]
+
+
 def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
@@ -116,11 +127,10 @@ def _saddle_columns(rs: np.ndarray, n: int, L: int, normalization: str = "wkb-ma
     """The number-state saddle at each radius as (values, stderrs, zones):
     radii in a singular zone are masked out of the one wigner_saddle call and
     get None and the zone's name."""
-    r = math.sqrt(n + 0.5)
-    zones = [singular_zone(abs(a), r) for a in rs.tolist()]
-    keep = np.array([not zone for zone in zones], dtype=bool)
-    samples = iter(wigner_saddle(rs[keep], n, L=L, normalization=normalization))
-    return [None if zone else next(samples).value for zone in zones], repeat(None), zones
+    zones = singular_zone(rs, math.sqrt(n + 0.5))
+    samples = iter(wigner_saddle(rs[zones == ""], n, L=L, normalization=normalization))
+    zones = zones.tolist()
+    return [None if zone else next(samples).value for zone in zones], None, zones
 
 
 def _saddle_route(args: argparse.Namespace, n: int):
@@ -144,17 +154,18 @@ def _montecarlo_route(args: argparse.Namespace, params: FamilyParams):
 
 
 def _exact_columns(values):
-    return values, repeat(None), repeat("")
+    return values, None, None
 
 
 def _sample_columns(results: list):
-    return [res.value for res in results], [res.standard_error for res in results], repeat("")
+    return [res.value for res in results], [res.standard_error for res in results], None
 
 
 # (state, method) -> builder, which checks the options and the state argument
 # (N, n or FamilyParams) and returns the evaluator rs -> (values, stderrs,
-# regions), one column each over all radii.  Evaluators look the routes up in
-# this module when they run, so a replaced or wrapped name is the one called.
+# regions), one column each over all radii, None for a column of empty cells.
+# Evaluators look the routes up in this module when they run, so a replaced
+# or wrapped name is the one called.
 _PROFILE_ROUTES = {
     ("poisson", "exact"): lambda args, N: lambda rs: _exact_columns(wigner_poisson(rs, N)),
     ("number", "exact"): lambda args, n: lambda rs: _exact_columns(wigner_number(rs, n)),
@@ -171,14 +182,19 @@ def _methods(state: str | None) -> list[str]:
     return [method for route_state, method in _PROFILE_ROUTES if route_state == state]
 
 
-def _profile_table(rs: np.ndarray, method: str, columns: tuple, fmt: str) -> str:
+def _profile_table(r_cells: list[str], method: str, columns: tuple, fmt: str) -> str:
     """The r,W,method,stderr,region table of one radial profile, from its
-    (values, stderrs, regions) columns."""
-    rows = [
-        [_fmt(r), _fmt(value), method, _fmt(stderr), region]
-        for r, value, stderr, region in zip(rs, *columns)
-    ]
-    return _table(["r", "W", "method", "stderr", "region"], rows, fmt)
+    formatted radii and its (values, stderrs, regions) columns."""
+    values, stderrs, regions = columns
+    empty = repeat("")
+    rows = zip(
+        r_cells,
+        _fmt_column(values),
+        repeat(method),
+        empty if stderrs is None else _fmt_column(stderrs),
+        empty if regions is None else regions,
+    )
+    return _table(["r", "W", "method", "stderr", "region"], list(rows), fmt)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -191,7 +207,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             raise ConfigError(f"state {args.state!r} supports --method {', '.join(methods)}")
         evaluate = _PROFILE_ROUTES[args.state, args.method](args, _state_argument(args))
         rs = np.linspace(args.r_min, args.r_max, args.points)
-    text = _profile_table(rs, args.method, evaluate(rs), args.fmt)
+    text = _profile_table(_fmt_column(rs), args.method, evaluate(rs), args.fmt)
     name = f"profile_{args.state}_{args.method}.{args.fmt}"
     print(_emit(args.output, name, text, vars(args), started))
     return EXIT_OK
@@ -254,10 +270,10 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     base.mkdir(parents=True, exist_ok=True)
     manifest = {"artifact_version": __version__, "panels": []}
     for n, rs, panels in zip(n_values, grids, levels):
-        files = {}
+        files, r_cells = {}, _fmt_column(rs)
         for label, (method, columns) in panels.items():
             files[label] = f"n{n}_{label}.{fmt}"
-            (base / files[label]).write_text(_profile_table(rs, method, columns, fmt))
+            (base / files[label]).write_text(_profile_table(r_cells, method, columns, fmt))
         config = {"n": n, "N": n + 0.5, "points": points, "L": L, "fmt": fmt}
         digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
         manifest["panels"].append({"n": n, "files": files, "config": config, "config_sha256": digest})

@@ -57,7 +57,14 @@ class RealnessError(RuntimeError):
 
 
 class SignProblemError(RuntimeError):
-    """Monte Carlo weights too uneven at a point for its estimate to mean anything."""
+    """Monte Carlo weights too uneven at a point for its estimate to mean
+    anything; carries that point's effective sample size and mean phase
+    magnitude."""
+
+    def __init__(self, message: str, effective_sample_size: float, mean_phase_magnitude: float):
+        super().__init__(message)
+        self.effective_sample_size = effective_sample_size
+        self.mean_phase_magnitude = mean_phase_magnitude
 
 
 @dataclass(frozen=True)
@@ -290,7 +297,9 @@ def wigner_montecarlo(
         k = low[0]
         raise SignProblemError(
             f"effective sample size {ess[k]:.3g} of {n} samples is below the floor "
-            f"{_MIN_ESS:g} at alpha = {points[k]:.6g}: the sign problem hides the value"
+            f"{_MIN_ESS:g} at alpha = {points[k]:.6g}: the sign problem hides the value",
+            float(ess[k]),
+            float(phase[k]),
         )
     if len(sizes) > 1:
         batch_w, batch_n = stats[:, 0], np.array(sizes)

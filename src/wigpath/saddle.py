@@ -11,18 +11,26 @@ forms are stated.  The amplitude inherited from the stationary-phase
 determinant diverges with the slice count, so a matched normalization pinned
 to the known interior wave-function asymptotics is provided alongside the raw
 one.
+
+`wigner_saddle` evaluates an array of points with the bits of one-point calls:
+its arithmetic runs in numpy in the one-point operation order, and acos,
+acosh, cos, exp, log and the quarter power are math's, applied per element by
+`special.elementwise`, since numpy's differ from libm's in the last bit at a
+few percent of doubles.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .states import FamilyParams, WignerSample, _points
+from .special import elementwise
+from .states import FamilyParams, WignerSample, _points, _radii
 
 TURNING_TOL = 1e-3  # relative width of the excluded annulus around s = r
 ORIGIN_TOL = 1e-3  # excluded core radius, as a fraction of r
@@ -88,15 +96,16 @@ def _chord_derivative(theta: complex, r: float, L: int) -> complex:
     return 0.5 * r * 1j * (cmath.exp(1j * theta) - ratio * cmath.exp(-1j * theta * ratio))
 
 
-def singular_zone(s: float, r: float) -> str:
+def singular_zone(s, r: float):
     """The singular zone of the asymptotics holding |alpha| = s, for the
     circle of radius r: "turning" in the annulus |s/r - 1| < TURNING_TOL,
-    "origin" in the core s < ORIGIN_TOL r, or "" outside both."""
-    if abs(s / r - 1.0) < TURNING_TOL:
-        return "turning"
-    if s < ORIGIN_TOL * r:
-        return "origin"
-    return ""
+    "origin" in the core s < ORIGIN_TOL r, or "" outside both.  s is a float,
+    giving a str, or a 1-D array of radii, giving a str array."""
+    turning = abs(s / r - 1.0) < TURNING_TOL
+    origin = s < ORIGIN_TOL * r
+    if not isinstance(s, np.ndarray):
+        return "turning" if turning else "origin" if origin else ""
+    return np.where(turning, "turning", np.where(origin, "origin", ""))
 
 
 def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
@@ -220,11 +229,22 @@ def _log_raw_constant(n: int, L: int) -> float:
     return 0.5 * L * math.log(2.0 * math.pi) + 0.5 * math.log(L) + params.log_z
 
 
-def interior_phase(s: float, n: int) -> float:
-    """Oscillation phase (2n+1) arccos(u) - 2 s sqrt(n+1/2-s^2) - pi/4."""
+def interior_phase(s, n: int):
+    """Oscillation phase (2n+1) arccos(u) - 2 s sqrt(n+1/2-s^2) - pi/4, at a
+    float s or at each element of an array of radii inside the circle."""
     r2 = n + 0.5
     u = s / math.sqrt(r2)
-    return (2 * n + 1) * math.acos(u) - 2.0 * s * math.sqrt(r2 - s * s) - 0.25 * math.pi
+    root = elementwise(math.sqrt, r2 - s * s)
+    return (2 * n + 1) * elementwise(math.acos, u) - 2.0 * s * root - 0.25 * math.pi
+
+
+def _exterior_exponent(s, n: int):
+    """ln(2 W) less the amplitude's log outside the circle: the decay of the
+    single imaginary arc, at a float s or at each element of an array."""
+    r2 = n + 0.5
+    u = s / math.sqrt(r2)
+    root = elementwise(math.sqrt, s * s - r2)
+    return (2 * n + 1) * elementwise(math.acosh, u) - 2.0 * s * root
 
 
 def wigner_saddle(
@@ -246,7 +266,8 @@ def wigner_saddle(
     normalization is 1/[(2 pi)^{L/2} L^{1/2} Z_L]; note it grows without bound
     as L increases, so large-L raw values can overflow.  "wkb-matched"
     rescales by one global constant so the interior amplitude agrees with the
-    wave-function asymptotics.
+    wave-function asymptotics.  An array call gives each point its one-point
+    value, bit for bit.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -256,27 +277,42 @@ def wigner_saddle(
     r2 = n + 0.5
     r = math.sqrt(r2)
     log_norm = -_log_raw_constant(n, L) if normalization == "raw" else math.log(_WKB_AMPLITUDE)
-    samples = []
-    for z in points:
-        s = abs(z)
-        zone = singular_zone(s, r)
-        if zone:
-            raise RegionError(
-                zone, f"alpha = {z:.6g} (|alpha| = {s:.6f}) lies in the {zone} zone of "
-                f"sqrt(n+1/2) = {r:.6f}, where the quarter-power amplitude diverges",
-            )
-        log_amp = log_norm - math.log((s * s * abs(r2 - s * s)) ** 0.25)
-        try:
-            if s < r:
-                value = math.cos(interior_phase(s, n)) * math.exp(log_amp)
-            else:
-                u = s / r
-                exponent = (2 * n + 1) * math.acosh(u) - 2.0 * s * math.sqrt(s * s - r2)
-                value = 0.5 * math.exp(exponent + log_amp)
-        except OverflowError:
-            raise OverflowError(
-                f"raw-normalized saddle amplitude exp({log_amp:.1f}) exceeds double "
-                f"range at L={L}; use normalization='wkb-matched' or a smaller L"
-            ) from None
-        samples.append(WignerSample(alpha=z, value=value, method="saddle"))
+    # one point runs on floats, an array of them on arrays
+    s = _radii(alpha, points, scalar)
+    if scalar:
+        zones = [singular_zone(s, r)]
+        bad = [0] if zones[0] else []
+    else:
+        zones = singular_zone(s, r)
+        bad = np.flatnonzero(zones != "")
+    if len(bad):
+        z, zone = points[bad[0]], str(zones[bad[0]])
+        raise RegionError(
+            zone, f"alpha = {z:.6g} (|alpha| = {abs(z):.6f}) lies in the {zone} zone of "
+            f"sqrt(n+1/2) = {r:.6f}, where the quarter-power amplitude diverges",
+        )
+    quarter = elementwise(lambda x: x**0.25, s * s * abs(r2 - s * s))
+    log_amp = log_norm - elementwise(math.log, quarter)
+    # W = factor exp(exponent): cos(phase) exp(log_amp) inside the circle and
+    # 0.5 exp(decay + log_amp) outside
+    inside = s < r
+    if scalar:
+        factor = math.cos(interior_phase(s, n)) if inside else 0.5
+        exponent = log_amp if inside else _exterior_exponent(s, n) + log_amp
+    else:
+        factor = np.full(len(s), 0.5)
+        factor[inside] = elementwise(math.cos, interior_phase(s[inside], n))
+        exponent = log_amp.copy()
+        exponent[~inside] = _exterior_exponent(s[~inside], n) + log_amp[~inside]
+    try:
+        values = factor * elementwise(math.exp, exponent)
+    except OverflowError:
+        # name the first point, in input order, whose amplitude overflows
+        k = int(np.argmax(np.ravel(exponent) > math.log(sys.float_info.max)))
+        raise OverflowError(
+            f"raw-normalized saddle amplitude exp({np.ravel(log_amp)[k]:.1f}) exceeds double "
+            f"range at L={L}; use normalization='wkb-matched' or a smaller L"
+        ) from None
+    values = [values] if scalar else values.tolist()
+    samples = [WignerSample(alpha=z, value=v, method="saddle") for z, v in zip(points, values)]
     return samples[0] if scalar else samples

@@ -290,12 +290,11 @@ def test_criterion_09_marginals():
     worst = 0.0
     for n in range(3):
         for q in np.linspace(-2.5, 2.5, 11):
-            vals = np.array(
-                [
-                    wigner_number(complex(q / math.sqrt(2.0), pi / math.sqrt(2.0)), n)
-                    for pi in p
-                ]
-            )
+            # the (q, p) line as one array of alpha = (q + i p)/sqrt(2)
+            alpha = np.empty(p.shape, dtype=complex)
+            alpha.real = q / math.sqrt(2.0)
+            alpha.imag = p / math.sqrt(2.0)
+            vals = wigner_number(alpha, n)
             marginal = 0.5 * float(np.trapezoid(vals, p))
             worst = max(worst, abs(marginal - hermite_density(n, float(q))))
     elapsed = time.perf_counter() - start

@@ -14,7 +14,8 @@ import pytest
 import wigpath
 from wigpath import cli
 from wigpath.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
-from wigpath.integrate import RealnessError
+from wigpath.integrate import MonteCarloSpec, RealnessError, wigner_montecarlo
+from wigpath.states import FamilyParams
 
 
 def read_csv(path):
@@ -507,6 +508,28 @@ def test_mc_diag_rows_equal_check_sign_rows(tmp_path):
     assert [[float(x) for x in row] for row in rows] == [[row[k] for k in keys] for row in report]
 
 
+def test_mc_diag_reports_a_collapsed_member_instead_of_failing(tmp_path):
+    # at N = 30.5, alpha = 2 the effective sample size falls below 5 from L = 5
+    out = tmp_path / "diag.csv"
+    argv = ["mc-diag", "--N", "30.5", "--alpha", "2", "--L-min", "3", "--L-max", "6",
+            "--samples", "20000", "--seed", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    _, rows = read_csv(out)
+    assert [row[0] for row in rows] == ["3", "4", "5", "6"]
+    spec = MonteCarloSpec(20000, seed=0)
+    for row in rows[:2]:
+        res = wigner_montecarlo(2.0 + 0j, FamilyParams(int(row[0]), 30.5), spec)
+        assert float(res.effective_sample_size) >= 5.0
+        assert row[1:] == [
+            cli._fmt(x) for x in (res.value, res.standard_error, res.mean_phase_magnitude,
+                                  res.phase_standard_error, res.effective_sample_size)
+        ]
+    for row in rows[2:]:
+        assert row[1] == row[2] == row[4] == ""
+        assert 0.0 < float(row[3]) <= 1.0
+        assert 1.0 <= float(row[5]) < 5.0
+
+
 def test_mc_diag_empty_range_exits_2(tmp_path, capsys):
     out = tmp_path / "diag.csv"
     code = main(["mc-diag", "--N", "1.5", "--L-min", "3", "--L-max", "1", "--out", str(out)])
@@ -540,3 +563,26 @@ def test_sidecars_record_the_output_format(tmp_path):
     for meta in (tmp_path / "st.json.meta.json", tmp_path / "diag.json.meta.json",
                  fig / "manifest.json.meta.json"):
         assert json.loads(meta.read_text())["config"]["fmt"] == "json"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("panel", ["zones", "interpolated"])
+def test_profile_table_equals_per_value_rows(fmt, panel):
+    # the saddle at n = 10 over a grid through the origin and turning zones
+    rs = np.linspace(0.0, 6.0, 1001)
+    values, stderrs, regions = cli._saddle_columns(rs, 10, 512)
+    assert None in values and {"turning", "origin"} <= set(regions)
+    if panel == "interpolated":
+        values, regions = cli._interpolate_gaps(rs, values, regions)
+    rows = [
+        [cli._fmt(r), cli._fmt(value), "saddle", cli._fmt(None), region]
+        for r, value, region in zip(rs, values, regions)
+    ]
+    want = cli._table(["r", "W", "method", "stderr", "region"], rows, fmt)
+    columns = (values, stderrs, regions)
+    assert cli._profile_table(cli._fmt_column(rs), "saddle", columns, fmt) == want
+
+
+def test_fmt_column_rejects_non_finite_values():
+    with pytest.raises(FloatingPointError, match="non-finite output value nan"):
+        cli._fmt_column([1.0, None, math.nan, math.inf])

@@ -418,6 +418,17 @@ def test_montecarlo_sign_problem_raises_instead_of_a_silent_zero():
         wigner_montecarlo(2.0 + 0j, params, spec)
 
 
+def test_sign_problem_error_carries_the_point_diagnostics():
+    params = FamilyParams(6, 30.5)
+    spec = MonteCarloSpec(samples=20_000, seed=0)
+    with pytest.raises(SignProblemError) as info:
+        wigner_montecarlo(np.array([0.5, 2.0]), params, spec)
+    assert "alpha = 0.5+0j" in str(info.value)
+    assert 1.0 <= info.value.effective_sample_size < 5.0
+    assert 0.0 <= info.value.mean_phase_magnitude <= 1.0
+    assert f"effective sample size {info.value.effective_sample_size:.3g} " in str(info.value)
+
+
 def test_montecarlo_radius_blocks_do_not_change_results(monkeypatch):
     params = FamilyParams(2, 1.5)
     spec = MonteCarloSpec(samples=8_000, seed=4, batch_size=1_000)

@@ -357,6 +357,50 @@ def test_wigner_saddle_array_call_equals_scalar_calls(normalization, L):
     assert got == want  # alpha, value and method, bit for bit
 
 
+def wigner_saddle_reference(alpha: complex, n: int, L: int, normalization: str) -> float:
+    """The one-point saddle value of earlier versions, kept as a bit-for-bit
+    oracle: math-module arithmetic at one point outside the singular zones."""
+    r2 = n + 0.5
+    r = math.sqrt(r2)
+    if normalization == "raw":
+        log_norm = -(0.5 * L * math.log(2.0 * math.pi) + 0.5 * math.log(L) + FamilyParams(L, r2).log_z)
+    else:
+        log_norm = math.log(1.0 / math.sqrt(math.pi**3 / 2.0))
+    s = abs(alpha)
+    log_amp = log_norm - math.log((s * s * abs(r2 - s * s)) ** 0.25)
+    if s < r:
+        u = s / math.sqrt(r2)
+        phase = (2 * n + 1) * math.acos(u) - 2.0 * s * math.sqrt(r2 - s * s) - 0.25 * math.pi
+        return math.cos(phase) * math.exp(log_amp)
+    u = s / r
+    exponent = (2 * n + 1) * math.acosh(u) - 2.0 * s * math.sqrt(s * s - r2)
+    return 0.5 * math.exp(exponent + log_amp)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 100])
+@pytest.mark.parametrize(
+    "normalization, L", [("raw", 8), ("wkb-matched", 512)], ids=["raw-L8", "wkb-matched"]
+)
+def test_wigner_saddle_array_equals_scalar_reference(n, normalization, L):
+    r = math.sqrt(n + 0.5)
+    radii = [s for s in np.linspace(0.0, r + 3.0, 1201).tolist() if not singular_zone(s, r)]
+    points = np.array(radii) * np.exp(0.37j * np.arange(len(radii)))
+    assert {s < r for s in radii} == {True, False}
+    got = wigner_saddle(points, n, L=L, normalization=normalization)
+    assert [res.alpha for res in got] == points.tolist()
+    assert [res.value for res in got] == [
+        wigner_saddle_reference(z, n, L, normalization) for z in points.tolist()
+    ]
+
+
+def test_singular_zone_array_equals_scalar_calls():
+    r = math.sqrt(10.5)
+    radii = np.linspace(0.0, 4.0, 2001)
+    zones = singular_zone(radii, r)
+    assert zones.tolist() == [singular_zone(s, r) for s in radii.tolist()]
+    assert {"turning", "origin", ""} <= set(zones.tolist())
+
+
 def test_wigner_saddle_array_zone_point_raises():
     r = math.sqrt(10.5)
     for bad, region in ((r, "turning"), (1e-6, "origin")):

@@ -40,6 +40,48 @@ def laguerre_sum_oracle(n: int, x: float) -> float:
     return float(total)
 
 
+def log_bessel_i0_reference(x: float) -> float:
+    """The one-point ln I0 of earlier versions, kept as a bit-for-bit oracle:
+    a power series below 20 and the asymptotic expansion above, each summed
+    term by term in a Python loop."""
+    if x < 20.0:
+        q = 0.25 * x * x
+        term = total = 1.0
+        for k in range(1, 200):
+            term *= q / (k * k)
+            total += term
+            if term < 1e-18 * total:
+                break
+        return math.log(total)
+    term = total = 1.0
+    for k in range(1, 40):
+        new = term * (2 * k - 1) ** 2 / (8.0 * k * x)
+        if new >= term and k > 2:
+            break  # divergent tail reached
+        term = new
+        total += term
+        if term < 1e-18 * total:
+            break
+    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
+
+
+def test_log_bessel_i0_array_equals_scalar_reference():
+    xs = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-300, np.nextafter(20.0, -np.inf), 20.0, np.nextafter(20.0, np.inf)],
+            np.linspace(0.0, 20.0, 2001),
+            # just above the switch the asymptotic sum ends at its smallest term
+            np.linspace(20.0, 30.0, 2001),
+            np.geomspace(30.0, 1e4, 2001),
+        ]
+    )
+    got = log_bessel_i0(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert got.tolist() == [log_bessel_i0_reference(x) for x in xs.tolist()]
+    assert [log_bessel_i0(x) for x in xs[::97].tolist()] == got[::97].tolist()
+    assert log_bessel_i0(xs.reshape(3, -1)).tolist() == got.reshape(3, -1).tolist()
+
+
 def test_i0_at_zero():
     assert bessel_i0(0.0) == pytest.approx(1.0, abs=0)
 
@@ -64,6 +106,14 @@ def test_i0_rejects_negative():
         log_bessel_i0(-0.5)
     with pytest.raises(ValueError):
         bessel_i0(-1.0)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+def test_i0_names_the_first_bad_argument(bad):
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        log_bessel_i0(bad)
+    with pytest.raises(ValueError, match=f"got {bad!r}"):
+        log_bessel_i0(np.array([0.0, 3.0, bad, 25.0, -7.0]))
 
 
 def test_i0_switchover_continuity():

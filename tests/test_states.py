@@ -9,7 +9,7 @@ import pytest
 
 from wigpath import states
 from wigpath.checks import radial_normalization
-from wigpath.special import log_factorial
+from wigpath.special import log_bessel_i0, log_factorial
 from wigpath.states import (
     FamilyParams,
     QuadratureConvergenceError,
@@ -298,6 +298,26 @@ def test_closed_form_array_call_equals_scalar_calls(route, arg):
     assert values.tolist() == [route(complex(z), arg) for z in points]
 
 
+def wigner_poisson_reference(alpha: complex, N: float) -> float:
+    """The one-point Poisson closed form of earlier versions, kept as a
+    bit-for-bit oracle: math-module arithmetic on |alpha| and a one-point ln I0
+    (itself held to its scalar reference in test_special)."""
+    s = abs(alpha)
+    c = 4.0 * math.sqrt(N)
+    return (2.0 / math.pi) * math.exp(-2.0 * s * s - 2.0 * N + log_bessel_i0(c * s))
+
+
+@pytest.mark.parametrize("N", [1.5, 10.5, 100.5])
+def test_wigner_poisson_array_equals_scalar_reference(N):
+    rng = np.random.default_rng(9)
+    # radii across the series and asymptotic branches of ln I0, off the axis too
+    radii = np.linspace(0.0, math.sqrt(N) + 6.0, 1001)
+    points = radii * np.exp(2j * math.pi * rng.random(radii.size))
+    assert wigner_poisson(points, N).tolist() == [
+        wigner_poisson_reference(z, N) for z in points.tolist()
+    ]
+
+
 @pytest.mark.parametrize("route, arg", CLOSED_FORMS, ids=["poisson", "number", "spectral"])
 def test_closed_form_scalar_empty_and_2d_inputs(route, arg):
     assert type(route(0.8 + 0.3j, arg)) is float
@@ -324,8 +344,10 @@ def hermite_density_oracle(n: int, q: float) -> float:
 def wigner_number_p_marginal(n: int, q: float) -> float:
     # trapezoid over p; alpha = (q + i p)/sqrt(2), phase-space density W/2
     p = np.linspace(-10.0, 10.0, 4001)
-    vals = np.array([wigner_number(complex(q / math.sqrt(2.0), pi / math.sqrt(2.0)), n) for pi in p])
-    return 0.5 * np.trapezoid(vals, p)
+    alpha = np.empty(p.shape, dtype=complex)
+    alpha.real = q / math.sqrt(2.0)
+    alpha.imag = p / math.sqrt(2.0)
+    return 0.5 * np.trapezoid(wigner_number(alpha, n), p)
 
 
 def test_marginals_match_hermite_densities():
