@@ -24,14 +24,10 @@ from .integrate import (
     wigner_quadrature,
 )
 from .phase_space import (
-    PhaseSpaceScale,
-    alpha_from_qp,
     coherent_overlap,
     displaced_parity_element,
     log_coherent_overlap,
     log_displaced_parity_element,
-    polar,
-    qp_from_alpha,
 )
 from .saddle import (
     RegionError,
@@ -59,14 +55,12 @@ __all__ = [
     "FamilyParams",
     "MidpointGrid",
     "MonteCarloSpec",
-    "PhaseSpaceScale",
     "QuadratureSpec",
     "RealnessError",
     "RegionError",
     "SaddleSolution",
     "SignProblemError",
     "WignerSample",
-    "alpha_from_qp",
     "chord_midpoint",
     "coherent_overlap",
     "displaced_parity_element",
@@ -79,8 +73,6 @@ __all__ = [
     "log_factorial",
     "midpoint_histogram",
     "path_action",
-    "polar",
-    "qp_from_alpha",
     "smoothed_wigner_from_histogram",
     "solve_saddle",
     "total_action",

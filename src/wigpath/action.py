@@ -120,7 +120,9 @@ def circle_phasors(thetas, r: float) -> tuple[np.ndarray, np.ndarray]:
     return e, np.subtract(th.shape[1] * r * r, links, out=links)
 
 
-def circle_actions_batch(thetas: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
+def circle_actions_batch(
+    thetas: np.ndarray, r: float, s: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Total actions of a (batch, L) array of angles at a 1-D array s of radii.
 
     Workhorse for the Monte Carlo estimators; one column per sampled path,
@@ -129,18 +131,25 @@ def circle_actions_batch(thetas: np.ndarray, r: float, s: np.ndarray) -> np.ndar
     C-contiguous totals of shape (len(s), batch) whose row i equals the call
     at s[i:i+1] bit for bit: the path terms and the radius-free end factors
     are computed once and shared by every radius.
+
+    out is None or a (totals, scratch) pair of C-contiguous (len(s), batch)
+    arrays, complex and real; the totals are written into the first and
+    returned, and the second is overwritten.  With out=None both are
+    allocated here.  Either way the same in-place steps run in the same order.
     """
     e, path_terms = circle_phasors(thetas, r)
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise ValueError("s must be a 1-D array of radii")
+    if out is None:
+        out = np.empty((s.size, len(e)), dtype=complex), np.empty((s.size, len(e)))
+    totals, scratch = out
     s = s[:, None]  # (k, 1): one row per radius
     first, last = e[:, 0], e[:, -1]
     ends = first.conj() + last
-    # in place, with the real 2 r s applied part by part: besides the totals
-    # only one real temporary of their shape is alive
-    totals = 2.0 * s * s + 2.0 * r * r * (last * first.conj())
-    totals.real -= 2.0 * r * s * ends.real
-    totals.imag -= 2.0 * r * s * ends.imag
+    # the real 2 r s is applied part by part through the real scratch
+    np.add(2.0 * s * s, 2.0 * r * r * (last * first.conj()), out=totals)
+    totals.real -= np.multiply(2.0 * r * s, ends.real, out=scratch)
+    totals.imag -= np.multiply(2.0 * r * s, ends.imag, out=scratch)
     totals += path_terms
     return totals

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import hashlib
 import json
 import math
@@ -36,11 +35,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-# glibc mallopt parameters, and the ceilings glibc's own dynamic thresholds
-# reach on 64-bit: mmap at 32 MiB, and trimming at twice the mmap threshold
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 class ConfigError(ValueError):
@@ -479,32 +473,8 @@ _COMMANDS = {
 }
 
 
-def _keep_freed_memory() -> None:
-    """Have glibc keep freed heap memory for reuse by the next batch.
-
-    The Monte Carlo and quadrature loops allocate and free block-sized
-    temporaries once per batch.  Under glibc's default dynamic thresholds the
-    heap top is returned to the OS after a batch and page-faulted in again by
-    the next: a default `profile --method mc` (200 radii, 1e5 samples) took
-    about 1.3e5 minor faults and 0.3 s of system time in 1.9 s.  Fixing both
-    thresholds at glibc's ceilings keeps the memory mapped for the rest of
-    the process.  Other platforms and C libraries are left as they are.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _keep_freed_memory()
     parser, prof = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -21,7 +21,10 @@ Batches are assigned counter-based RNG streams by batch index, so results are
 bit-identical for a fixed (seed, batch schedule) regardless of worker count.
 The path term is alpha-free and the end term depends only on the end angles
 and |alpha|, so one set of draws serves every point of a profile; the result
-at each point is bit-identical to a single-point call there.
+at each point is bit-identical to a single-point call there.  The batches are
+split into at most `workers` contiguous runs; each run allocates one complex
+and one real buffer, sized to its largest (radius, sample) block, and
+computes all its batches in them, so no batch allocates block-sized memory.
 """
 
 from __future__ import annotations
@@ -213,31 +216,57 @@ def _batch_angles(seed: int, batch_index: int, size: int, L: int) -> np.ndarray:
     return Generator(Philox(seed).jumped(batch_index)).uniform(0.0, 2.0 * math.pi, (size, L))
 
 
+def _radii_per_block(size: int, radii: int) -> int:
+    """Radii in one block of a batch of `size` samples: about _BLOCK_ENTRIES
+    (radius, sample) entries, at least one radius and at most all of them."""
+    return min(radii, max(1, _BLOCK_ENTRIES // size))
+
+
 def _mc_batch_sums(
-    batch_index: int, size: int, L: int, r: float, s: np.ndarray, seed: int
+    batch_index: int, size: int, L: int, r: float, s: np.ndarray, seed: int,
+    totals: np.ndarray, scratch: np.ndarray,
 ) -> np.ndarray:
     """Sums of one batch at every radius in s, as a (4, radii) array whose
     rows are sum w, sum (Re w)^2, sum |w| and sum |w|^2 for w = exp(-S).
 
     The batch is drawn once and serves every radius.  Radii are taken in
-    blocks of about _BLOCK_ENTRIES (radius, sample) entries, which bounds the
-    temporaries; a profile of more blocks re-evaluates the path terms once
-    per block.  Every reduction runs along the sample axis, so each radius is
-    summed exactly as a single-radius call would sum it.
+    blocks of about _BLOCK_ENTRIES (radius, sample) entries; a profile of more
+    blocks re-evaluates the path terms once per block.  Each block is computed
+    in views of the caller's flat buffers, totals (complex) and scratch
+    (real), so a batch allocates no block-sized array: the actions become w
+    in totals, |w| is formed in the scratch and squared in place once summed,
+    and (Re w)^2 is then squared into the scratch.  Every reduction runs along
+    the sample axis of a C-contiguous block, so each radius is summed exactly
+    as a single-radius call would sum it.
     """
     thetas = _batch_angles(seed, batch_index, size, L)
-    per_block = max(1, _BLOCK_ENTRIES // size)
+    per_block = _radii_per_block(size, len(s))
     sums = np.empty((4, len(s)), dtype=complex)
     for lo in range(0, len(s), per_block):
-        totals = circle_actions_batch(thetas, r, s[lo : lo + per_block])
-        # in place: one complex and one real block array are alive at a time
-        mag = np.negative(totals.real)
-        np.exp(mag, out=mag)
-        w = np.exp(np.negative(totals, out=totals), out=totals)
-        sums[:, lo : lo + per_block] = (
-            w.sum(axis=1), (w.real**2).sum(axis=1), mag.sum(axis=1), (mag**2).sum(axis=1)
-        )
+        rows = s[lo : lo + per_block]
+        shape, entries = (rows.size, size), rows.size * size
+        real = scratch[:entries].reshape(shape)
+        w = circle_actions_batch(thetas, r, rows, out=(totals[:entries].reshape(shape), real))
+        mag = np.exp(np.negative(w.real, out=real), out=real)
+        np.exp(np.negative(w, out=w), out=w)
+        cols = slice(lo, lo + per_block)
+        sums[0, cols] = w.sum(axis=1)
+        sums[2, cols] = mag.sum(axis=1)
+        sums[3, cols] = np.square(mag, out=mag).sum(axis=1)
+        sums[1, cols] = np.square(w.real, out=real).sum(axis=1)
     return sums
+
+
+def _mc_chunk_sums(
+    batches: list[tuple[int, int]], L: int, r: float, s: np.ndarray, seed: int
+) -> np.ndarray:
+    """Sums of a run of (batch index, size) batches, stacked in order to
+    (batch, 4, radii), computed in one buffer pair sized to the run's largest
+    radius block."""
+    entries = max(_radii_per_block(size, len(s)) * size for _, size in batches)
+    totals, scratch = np.empty(entries, dtype=complex), np.empty(entries)
+    sums = [_mc_batch_sums(b, size, L, r, s, seed, totals, scratch) for b, size in batches]
+    return np.stack(sums)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -277,13 +306,23 @@ def wigner_montecarlo(
         return []
     s = np.abs(np.array(points))
     sizes = spec.batch_sizes()
-    args = [(b, size, params.L, params.radius, s, spec.seed) for b, size in enumerate(sizes)]
-    # one (4, point) array of sums per batch, stacked to (batch, 4, point)
-    if spec.workers > 1:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            stats = np.stack(list(pool.map(lambda a: _mc_batch_sums(*a), args)))
+    # contiguous runs of batches, at most one per worker, each computed in its
+    # own buffers; a single run stays in the calling thread
+    batches = list(enumerate(sizes))
+    runs = min(spec.workers, len(batches))
+    bounds = [i * len(batches) // runs for i in range(runs + 1)]
+    chunks = [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def chunk_sums(chunk):
+        return _mc_chunk_sums(chunk, params.L, params.radius, s, spec.seed)
+
+    if runs > 1:
+        with ThreadPoolExecutor(max_workers=runs) as pool:
+            parts = list(pool.map(chunk_sums, chunks))
     else:
-        stats = np.stack([_mc_batch_sums(*a) for a in args])
+        parts = list(map(chunk_sums, chunks))
+    # one (4, point) array of sums per batch, in batch order: (batch, 4, point)
+    stats = np.concatenate(parts)
     sum_w, *totals = stats.sum(axis=0)
     sum_w_re2, sum_mag, sum_mag2 = (t.real for t in totals)
 

@@ -245,6 +245,43 @@ def test_batch_actions_array_s_equals_stacked_scalar_calls():
         assert np.array_equal(totals[i], circle_actions_batch(thetas, r, radii[i : i + 1])[0])
 
 
+def reference_actions(thetas, r, s):
+    """circle_actions_batch written out of place, in the same operation order."""
+    e, path_terms = circle_phasors(thetas, r)
+    s = s[:, None]
+    first, last = e[:, 0], e[:, -1]
+    ends = first.conj() + last
+    totals = 2.0 * s * s + 2.0 * r * r * (last * first.conj())
+    totals.real -= 2.0 * r * s * ends.real
+    totals.imag -= 2.0 * r * s * ends.imag
+    return totals + path_terms
+
+
+@pytest.mark.parametrize("into", ["none", "buffers", "views"])
+def test_batch_actions_into_buffers_are_bit_identical(into):
+    # the totals of every out= form equal the out-of-place arithmetic bit for
+    # bit; "views" is a short last block in the front of larger flat buffers
+    rng = np.random.default_rng(35)
+    r = 1.25
+    thetas = rng.uniform(0, 2 * math.pi, size=(211, 4))
+    radii = np.linspace(0.0, 3.3, 5)
+    shape = (len(radii), len(thetas))
+    if into == "none":
+        out = None
+    elif into == "buffers":
+        out = np.empty(shape, dtype=complex), np.empty(shape)
+    else:
+        entries = radii.size * len(thetas)
+        out = (
+            np.empty(3 * entries, dtype=complex)[:entries].reshape(shape),
+            np.empty(3 * entries)[:entries].reshape(shape),
+        )
+    totals = circle_actions_batch(thetas, r, radii, out=out)
+    if out is not None:
+        assert totals is out[0]
+    assert np.array_equal(totals, reference_actions(thetas, r, radii))
+
+
 def test_circle_phasors_equal_exp_and_path_action():
     rng = np.random.default_rng(33)
     r = 1.3

@@ -302,9 +302,9 @@ def test_cli_import_leaves_scipy_out():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
 def test_mc_profile_reuses_freed_memory(tmp_path):
-    # each batch frees and reallocates the same temporaries; with the heap top
-    # returned to the OS after every batch this run takes about 1.8e4 minor
-    # page faults, and about 600 when the freed memory is kept
+    # every batch of the run computes in one buffer pair, so the block memory
+    # is faulted in once: about 400 minor page faults, where temporaries
+    # freed to the OS and allocated again by every batch took about 1.8e4
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))

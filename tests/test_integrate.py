@@ -3,8 +3,12 @@ sign diagnostics, midpoint histogram."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,8 +388,12 @@ def per_radius_reference(s, params, spec):
         MonteCarloSpec(samples=20_000, seed=5, workers=1),
         MonteCarloSpec(samples=20_000, seed=5, workers=3),
         MonteCarloSpec(samples=6_000, seed=8, batch_size=6_000),  # one batch
+        # batches of 7000, 7000 and 6000: one buffer pair for all three, or
+        # one pair per batch, the last a size smaller
+        MonteCarloSpec(samples=20_000, seed=5, workers=1, batch_size=7_000),
+        MonteCarloSpec(samples=20_000, seed=5, workers=3, batch_size=7_000),
     ],
-    ids=["workers1", "workers3", "single_batch"],
+    ids=["workers1", "workers3", "single_batch", "workers1_uneven", "workers3_uneven"],
 )
 def test_montecarlo_array_call_bit_identical_to_per_radius_reference(spec):
     params = FamilyParams(3, 1.5)
@@ -568,6 +576,40 @@ def test_batch_actions_memory_at_one_radius_block():
     thetas = np.random.default_rng(6).uniform(0, 2 * math.pi, size=(15_625, 4))
     radii = np.linspace(0.0, 3.0, 64)
     assert traced_peak(lambda: circle_actions_batch(thetas, 1.2, radii)) <= 33_000_000
+
+
+def test_montecarlo_memory_of_one_radius_block():
+    # 64 radii x 15,625 samples fill one block; the four batches share one
+    # complex (16 MB) and one real (8 MB) block buffer
+    params = FamilyParams(4, 1.5)
+    spec = MonteCarloSpec(samples=62_500, seed=3, batch_size=15_625)
+    points = np.linspace(0.0, 3.0, 64).astype(complex)
+    assert traced_peak(lambda: wigner_montecarlo(points, params, spec)) < 28_000_000
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts page faults")
+def test_montecarlo_library_call_faults_its_block_memory_in_once():
+    # a fresh process, with the allocator as the library finds it: 200 radii
+    # in 64 batches take about 1.5e3 minor page faults when the batches share
+    # their block buffers, and about 1.1e5 when each batch's block-sized
+    # temporaries are returned to the OS and faulted in again by the next
+    src = Path(integrate.__file__).resolve().parents[1]
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import resource; import numpy as np; "
+        "from wigpath import FamilyParams, MonteCarloSpec, wigner_montecarlo; "
+        "params, spec = FamilyParams(3, 1.5), MonteCarloSpec(samples=100_000); "
+        "points = np.linspace(0.0, 4.0, 200).astype(complex); "
+        "f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        "wigner_montecarlo(points, params, spec); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert int(done.stdout.split()[-1]) < 20_000
 
 
 def test_midpoint_histogram_memory_of_one_batch():

@@ -1,4 +1,4 @@
-"""Phase-space primitive tests: coordinate maps, overlaps, displaced parity."""
+"""Phase-space primitive tests: overlaps, displaced parity."""
 
 import cmath
 import math
@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 
 from wigpath.phase_space import (
-    PhaseSpaceScale,
-    alpha_from_qp,
     coherent_overlap,
     displaced_parity_element,
     log_coherent_overlap,
-    polar,
-    qp_from_alpha,
 )
 
 
@@ -26,45 +22,6 @@ def overlap_number_basis_oracle(beta: complex, gamma: complex, n_terms: int = 60
             term *= beta.conjugate() * gamma / n
         total += term
     return cmath.exp(-0.5 * abs(beta) ** 2 - 0.5 * abs(gamma) ** 2) * total
-
-
-def test_alpha_from_qp_examples():
-    assert alpha_from_qp(0.0, 0.0) == 0.0
-    assert alpha_from_qp(1.0, 0.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-    got = alpha_from_qp(2.0, 3.0, PhaseSpaceScale(mass=2.0, frequency=0.5))
-    assert got.real == pytest.approx(math.sqrt(0.5) * 2.0, rel=1e-14)
-    assert got.imag == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-14)
-
-
-def test_qp_roundtrip_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        scale = PhaseSpaceScale(
-            mass=10.0 ** rng.uniform(-2, 2),
-            frequency=10.0 ** rng.uniform(-2, 2),
-            hbar=10.0 ** rng.uniform(-2, 2),
-        )
-        q, p = rng.normal(0, 5, size=2)
-        q2, p2 = qp_from_alpha(alpha_from_qp(q, p, scale), scale)
-        assert q2 == pytest.approx(q, rel=1e-12, abs=1e-15)
-        assert p2 == pytest.approx(p, rel=1e-12, abs=1e-15)
-
-
-def test_scale_must_be_positive():
-    for bad in [dict(mass=0.0), dict(frequency=-1.0), dict(hbar=0.0)]:
-        with pytest.raises(ValueError):
-            PhaseSpaceScale(**bad)
-
-
-def test_polar_agrees_with_cartesian():
-    rng = np.random.default_rng(5)
-    for _ in range(500):
-        z = complex(rng.normal(), rng.normal())
-        s, phi = polar(z)
-        assert s == pytest.approx(math.hypot(z.real, z.imag), rel=1e-14, abs=1e-300)
-        assert 0.0 <= phi < 2.0 * math.pi
-        back = s * cmath.exp(1j * phi)
-        assert abs(back - z) <= 1e-14 * max(1.0, s)
 
 
 def test_overlap_normalization_and_zero_case():
