@@ -122,9 +122,9 @@ def _saddle_columns(rs: np.ndarray, n: int, L: int, normalization: str = "wkb-ma
     radii in a singular zone are masked out of the one wigner_saddle call and
     get None and the zone's name."""
     zones = singular_zone(rs, math.sqrt(n + 0.5))
-    samples = iter(wigner_saddle(rs[zones == ""], n, L=L, normalization=normalization))
+    values = iter(wigner_saddle(rs[zones == ""], n, L=L, normalization=normalization).tolist())
     zones = zones.tolist()
-    return [None if zone else next(samples).value for zone in zones], None, zones
+    return [None if zone else next(values) for zone in zones], None, zones
 
 
 def _saddle_route(args: argparse.Namespace, n: int):

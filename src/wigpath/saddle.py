@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .special import elementwise
-from .states import FamilyParams, WignerSample, _points, _radii
+from .states import FamilyParams, _finite, _points, _radii
 
 TURNING_TOL = 1e-3  # relative width of the excluded annulus around s = r
 ORIGIN_TOL = 1e-3  # excluded core radius, as a fraction of r
@@ -234,7 +234,7 @@ def interior_phase(s, n: int):
     float s or at each element of an array of radii inside the circle."""
     r2 = n + 0.5
     u = s / math.sqrt(r2)
-    root = elementwise(math.sqrt, r2 - s * s)
+    root = np.sqrt(r2 - s * s)
     return (2 * n + 1) * elementwise(math.acos, u) - 2.0 * s * root - 0.25 * math.pi
 
 
@@ -243,19 +243,19 @@ def _exterior_exponent(s, n: int):
     single imaginary arc, at a float s or at each element of an array."""
     r2 = n + 0.5
     u = s / math.sqrt(r2)
-    root = elementwise(math.sqrt, s * s - r2)
+    root = np.sqrt(s * s - r2)
     return (2 * n + 1) * elementwise(math.acosh, u) - 2.0 * s * root
 
 
 def wigner_saddle(
     alpha, n: int, L: int = 512, normalization: str = "wkb-matched"
-) -> WignerSample | list[WignerSample]:
+) -> float | np.ndarray:
     """Saddle-point Wigner function of the family member pinned to level n.
 
-    alpha is a complex scalar, giving one WignerSample, or a 1-D array of
-    points, giving one WignerSample per point in input order.  A point in a
-    singular zone (`singular_zone`) raises RegionError naming the zone and
-    the point.
+    alpha is a complex scalar, giving a float, or a 1-D array of points,
+    giving a float array in input order.  A point in a singular zone
+    (`singular_zone`) raises RegionError naming the zone and the point, and
+    a non-finite value raises FloatingPointError naming its point.
 
     The family parameter is fixed at N = n + 1/2.  The fastest pinch onto
     |n><n| is at N = sqrt(n(n+1)), where the two nearest tail ratios N/(n+1)
@@ -313,6 +313,4 @@ def wigner_saddle(
             f"raw-normalized saddle amplitude exp({np.ravel(log_amp)[k]:.1f}) exceeds double "
             f"range at L={L}; use normalization='wkb-matched' or a smaller L"
         ) from None
-    values = [values] if scalar else values.tolist()
-    samples = [WignerSample(alpha=z, value=v, method="saddle") for z, v in zip(points, values)]
-    return samples[0] if scalar else samples
+    return _finite(values, points, scalar, "saddle")

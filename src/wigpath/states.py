@@ -59,7 +59,8 @@ def refine_by_doubling(rule, first: int, cap: int, tol: float, what: str) -> tup
 
 @dataclass(frozen=True)
 class WignerSample:
-    """One Wigner-function evaluation, tagged with how it was obtained.
+    """One quadrature or Monte Carlo Wigner-function evaluation, tagged with
+    how it was obtained.
 
     Monte Carlo evaluations also carry their sign-problem diagnostics: the
     standard error, the mean phase magnitude with its standard error (None
@@ -78,8 +79,7 @@ class WignerSample:
         if not math.isfinite(self.value):
             raise ValueError(f"non-finite Wigner value {self.value!r} ({self.method})")
         # quadrature values are genuine Wigner evaluations, held to the global
-        # 2/pi bound; saddle values are asymptotic approximants whose amplitude
-        # fails near their singular edges, and Monte Carlo noise may cross it
+        # 2/pi bound; Monte Carlo noise may cross it
         if self.method == "quadrature" and abs(self.value) > _WIGNER_BOUND + 1e-9:
             raise ValueError(
                 f"|W| = {abs(self.value):.6g} exceeds the 2/pi bound ({self.method})"
@@ -167,9 +167,9 @@ def _radii(alpha, points: list[complex], scalar: bool) -> float | np.ndarray:
 
 
 def _finite(values, points: list[complex], scalar: bool, what: str) -> float | np.ndarray:
-    """The closed-form values of a call, a float for a scalar call and else an
-    array over the points, after one finiteness pass: the nan or inf of an
-    overflowed sum raises, naming the first such point."""
+    """The values of a closed-form or saddle call, a float for a scalar call
+    and else an array over the points, after one finiteness pass: the first
+    nan or inf, as of an overflowed sum, raises, naming its point."""
     if scalar:
         bad = [] if math.isfinite(values) else [0]
     else:

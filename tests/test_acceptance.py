@@ -119,17 +119,17 @@ def test_criterion_04_figure_reproduction():
     r10 = math.sqrt(10.5)
     window = (0.8, r10 - 0.3)
     exact10 = crossings_of(lambda s: wigner_number(complex(s), 10), *window)
-    saddle10 = crossings_of(lambda s: wigner_saddle(complex(s), 10).value, *window)
+    saddle10 = crossings_of(lambda s: wigner_saddle(complex(s), 10), *window)
     deltas10 = [float(np.min(np.abs(saddle10 - e))) for e in exact10]
 
     r1 = math.sqrt(1.5)
     exact1 = crossings_of(lambda s: wigner_number(complex(s), 1), 0.1, r1 - 0.1)
-    saddle1 = crossings_of(lambda s: wigner_saddle(complex(s), 1).value, 0.1, r1 - 0.1)
+    saddle1 = crossings_of(lambda s: wigner_saddle(complex(s), 1), 0.1, r1 - 0.1)
     ok_n1 = len(exact1) == 1 and len(saddle1) == 1 and abs(saddle1[0] - exact1[0]) <= 0.05
 
     ratios = np.array(
         [
-            wigner_saddle(complex(s), 10).value / wkb_interior(s, 10)
+            wigner_saddle(complex(s), 10) / wkb_interior(s, 10)
             for s in np.linspace(1.0, 2.8, 50)
         ]
     )

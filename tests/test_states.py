@@ -1,6 +1,7 @@
 """State-family tests: weights, partition sums, closed-form Wigner functions."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from wigpath import states
 from wigpath.checks import radial_normalization
+from wigpath.saddle import wigner_saddle
 from wigpath.special import log_bessel_i0, log_factorial
 from wigpath.states import (
     FamilyParams,
@@ -278,6 +280,17 @@ def test_closed_forms_name_the_first_overflowed_point():
             wigner_spectral(np.array([0.5, 19.0, 20.0]), FamilyParams(2, 100.5))
 
 
+def test_saddle_names_a_non_finite_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the decay exponent
+        for bad in (math.inf, math.nan):
+            name = re.escape(f"alpha = {complex(bad):.6g}")
+            with pytest.raises(FloatingPointError, match=name):
+                wigner_saddle(complex(bad), 10)
+            with pytest.raises(FloatingPointError, match=name):
+                wigner_saddle(np.array([1.0, bad, 5.0]), 10)
+
+
 CLOSED_FORMS = [
     (wigner_poisson, 10.5),
     (wigner_number, 100),
@@ -318,7 +331,11 @@ def test_wigner_poisson_array_equals_scalar_reference(N):
     ]
 
 
-@pytest.mark.parametrize("route, arg", CLOSED_FORMS, ids=["poisson", "number", "spectral"])
+@pytest.mark.parametrize(
+    "route, arg",
+    [*CLOSED_FORMS, (wigner_saddle, 10)],
+    ids=["poisson", "number", "spectral", "saddle"],
+)
 def test_closed_form_scalar_empty_and_2d_inputs(route, arg):
     assert type(route(0.8 + 0.3j, arg)) is float
     empty = route(np.array([], dtype=complex), arg)
