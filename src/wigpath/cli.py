@@ -75,9 +75,17 @@ def _fmt_column(column) -> list[str]:
 
 
 def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    """A table of string cells as csv, or as the bytes of
+    json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n",
+    written from one per-row template with each cell escaped by json's C
+    string encoder (json.dumps with an indent runs the pure-Python one)."""
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
+    if not rows:
+        return "[]\n"
+    quote = json.encoder.encode_basestring_ascii
+    item = " {" + ",".join(f"\n  {quote(name).replace('%', '%%')}: %s" for name in header) + "\n }"
+    return "[\n" + ",\n".join([item % tuple(map(quote, row)) for row in rows]) + "\n]\n"
 
 
 def _emit(output: str | None, name: str, text: str, config: dict, started: float) -> Path:

@@ -10,9 +10,11 @@ product with it; outputs were measured byte-identical at OpenBLAS thread
 counts 1, 2 and the default.  A point's end factor takes one complex exp per
 grid angle, and the factor at the other end is its conjugate; the incoherent
 mass of the realness check is formed only where the relative test fails.
-The overall constant is anchored so that L = 1 reproduces the Poisson closed
-form exactly; this fixes the 2/pi carried by the displaced-parity matrix
-element together with the (2 pi)^{-L} angle measure.
+The kernel is built in the M x M array it is returned in, and a call with
+the kernel cached allocates no M x M array.  The overall constant is
+anchored so that L = 1 reproduces the Poisson closed form exactly; this
+fixes the 2/pi carried by the displaced-parity matrix element together with
+the (2 pi)^{-L} angle measure.
 
 Monte Carlo route: angles are sampled uniformly on the torus and the complex
 weight exp(-S) is averaged; the surviving mean phase magnitude is the standard
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox  # numpy loads this submodule lazily otherwise
 
 from .action import circle_actions_batch, circle_phasors
@@ -46,6 +49,9 @@ _IMAG_RESIDUE_TOL = 1e-10
 _BLOCK_ENTRIES = 1_000_000
 # (radius, angle) entries per block of the quadrature factors
 _QUAD_BLOCK_ENTRIES = 2**16
+# (row, angle) entries per block of the kernel's underflow scan: small
+# against the kernel, so the build peaks near one M x M complex array
+_KERNEL_SCAN_ENTRIES = 2**13
 # a Monte Carlo point below this effective sample size raises: a few samples
 # carry its whole estimate and standard error
 _MIN_ESS = 5.0
@@ -78,6 +84,9 @@ class QuadratureSpec:
     is at most (L-1) M^3 for the kernel products, once per (L, N, M), plus
     k M^2 complex for a call at k points, plus M^2 real for each point that
     fails the relative realness test, with one complex exp per (point, angle).
+    The memory is one M x M complex kernel (16 M^2 bytes) at L <= 2, and the
+    matrix-power factors as well while the kernel is built at L >= 3, plus
+    O(2^16) entries per call; the kernel cache keeps up to 16 kernels alive.
     """
 
     points_per_dim: int = 128
@@ -127,23 +136,61 @@ class MonteCarloSpec:
 def _circle_kernel(r: float, L: int, M: int) -> np.ndarray:
     """Alpha-independent part of the grid sum, read-only (shared by callers).
 
-    B[j, k] = (T^{L-1})[j, k] * h[(k - j) mod M], where T[j, k] is the
-    rescaled inter-slice link factor and h the combined closing-link and
-    end-pair factor.  Each factor carries exp(-r^2) so entries stay bounded.
-    T^{L-1} is a BLAS matrix power (deterministic across OpenBLAS thread
-    counts, see the module docstring).  Raises FloatingPointError when every
-    entry of B underflows, where the grid sum would read 0.
+    B[j, k] = (T^{L-1})[j, k] * h[(k - j) mod M], where T[j, k] =
+    t[(j - k) mod M] is the rescaled inter-slice link factor and h the
+    combined closing-link and end-pair factor.  Each factor carries exp(-r^2)
+    so entries stay bounded.  Both factors are circulant: T is one contiguous
+    copy of a window view of (t, t), and h multiplies B in place through a
+    window view of (h, h), so at L <= 2 the build holds just the array it
+    returns.  T^{L-1} is a BLAS matrix power (deterministic across OpenBLAS
+    thread counts, see the module docstring).  Raises FloatingPointError when
+    every entry of B underflows, where the grid sum would read 0.
     """
     r2 = r * r
     phases = np.exp(2j * math.pi * np.arange(M) / M)
     t_link = np.exp(r2 * (phases - 1.0))
     h_end = np.exp(-r2 * (phases + 1.0))
-    diff = (np.arange(M)[:, None] - np.arange(M)[None, :]) & (M - 1)
-    B = np.linalg.matrix_power(t_link[diff], L - 1) * h_end[diff.T]
-    if np.abs(B).max() < np.finfo(float).tiny:
+    if L == 1:
+        B = np.eye(M, dtype=complex)
+    else:
+        # window i of (t, t), reversed, reads t[(i - 1 - k) mod M]: row j is window j + 1
+        windows = sliding_window_view(np.concatenate((t_link, t_link)), M)
+        T = np.ascontiguousarray(windows[1:, ::-1])
+        B = np.linalg.matrix_power(T, L - 1)
+    # window i of (h, h) reads h[(i + k) mod M]: row j is window M - j
+    B *= sliding_window_view(np.concatenate((h_end, h_end)), M)[M:0:-1]
+    rows, tiny = max(1, _KERNEL_SCAN_ENTRIES // M), np.finfo(float).tiny
+    if not any(np.abs(B[lo : lo + rows]).max() >= tiny for lo in range(0, M, rows)):
         raise FloatingPointError(f"every kernel entry underflows at L={L}, N={r2:.6g}, M={M}")
     B.setflags(write=False)
     return B
+
+
+def _check_realness(
+    points: np.ndarray, totals: np.ndarray, mag: np.ndarray, B: np.ndarray
+) -> None:
+    """Raise RealnessError at the first point whose grid sum has an imaginary
+    residue above 1e-12 of its incoherent mass sum_jk |u_j| |B_jk| |u_k|, with
+    |u| at each point as one row of mag.  A residue only signals a bug when it
+    is large against both the real part and the incoherent mass;
+    deep-cancellation tails sit at roundoff.  |B| is formed a block of rows at
+    a time, so no M x M array is allocated."""
+    if not len(points):
+        return
+    M = B.shape[0]
+    rows = max(1, _QUAD_BLOCK_ENTRIES // M)
+    mass = np.zeros_like(mag)
+    for lo in range(0, M, rows):
+        mass += mag[:, lo : lo + rows] @ np.abs(B[lo : lo + rows])
+    incoherent = (mass * mag).sum(axis=1)
+    failed = np.flatnonzero(np.abs(totals.imag) > 1e-12 * incoherent)
+    if failed.size:
+        k = failed[0]
+        z, inc, a = totals[k], incoherent[k], points[k]
+        raise RealnessError(
+            f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
+            f"(incoherent scale {inc:.3e}) at alpha = {a:.6g}"
+        )
 
 
 def wigner_quadrature(
@@ -171,9 +218,12 @@ def wigner_quadrature(
     theta = 2.0 * math.pi * np.arange(M) / M
     scale = _WIGNER_BOUND * math.exp(-params.log_z - params.L * math.log(M))
     per_block = max(1, _QUAD_BLOCK_ENTRIES // M)
-    abs_B = None  # |B|, formed at the first block with a suspect point
-    results = []
-    for block in np.split(flat, range(per_block, flat.size, per_block)):
+    totals = np.empty(flat.size, dtype=complex)
+    # (indices, |u| rows) of the points that fail the relative realness test,
+    # held until about per_block of them share one pass over |B|
+    pending = []
+    for lo in range(0, flat.size, per_block):
+        block = flat[lo : lo + per_block]
         s = np.abs(block)[:, None]
         # one unit phasor row per distinct point angle: a radial profile has one
         angles, rows = np.unique(np.angle(block), return_inverse=True)
@@ -182,30 +232,19 @@ def wigner_quadrature(
         u -= s * s
         np.exp(u, out=u)
         # the end factor at the other end is conj(u), formed in place (the mass
-        # below needs only |u|)
+        # needs only |u|)
         total = u @ B
         total *= np.conjugate(u, out=u)
         total = total.sum(axis=1)
-        # a residue only signals a bug when it is large against both the real
-        # part and the incoherent mass; deep-cancellation tails sit at roundoff.
-        # The mass, and |B| with it, is formed only for points that fail the
-        # relative test.
+        totals[lo : lo + per_block] = total
         suspect = np.flatnonzero(np.abs(total.imag) > _IMAG_RESIDUE_TOL * np.abs(total.real))
-        if suspect.size:
-            if abs_B is None:
-                abs_B = np.abs(B)
-            mag = np.abs(u[suspect])
-            incoherent = ((mag @ abs_B) * mag).sum(axis=1)
-            failed = np.flatnonzero(np.abs(total.imag[suspect]) > 1e-12 * incoherent)
-            if failed.size:
-                k = failed[0]
-                z, inc, a = total[suspect[k]], incoherent[k], block[suspect[k]]
-                raise RealnessError(
-                    f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
-                    f"(incoherent scale {inc:.3e}) at alpha = {a:.6g}"
-                )
-        values = zip(block, (scale * total.real).tolist())
-        results += [WignerSample(complex(a), x, "quadrature") for a, x in values]
+        pending.append((lo + suspect, np.abs(u[suspect])))
+        if sum(len(index) for index, _ in pending) >= per_block or lo + per_block >= flat.size:
+            index, mag = map(np.concatenate, zip(*pending))
+            _check_realness(flat[index], totals[index], mag, B)
+            pending = []
+    values = zip(points, (scale * totals.real).tolist())
+    results = [WignerSample(a, x, "quadrature") for a, x in values]
     return results[0] if scalar else results
 
 

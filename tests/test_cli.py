@@ -550,6 +550,30 @@ def test_json_output_mirrors_numbers_as_strings(tmp_path):
     assert float(payload[0]["W"]) == pytest.approx(-2.0 / math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [["0", "0.63661977236758138", "exact", "", ""]],
+        [
+            ["1.5", "-0.125", "saddle", "", "turning"],
+            ["2", "0.25", "saddle", "", "interpolated:turning"],
+            ["2.5", "1e-300", "monte-carlo", "3.5e-05", ""],
+            ["3", 'quote " backslash \\ tab \t newline \n', "é ☃ \x7f %s %%", "", "{}"],
+        ],
+    ],
+    ids=["empty", "one-row", "escapes"],
+)
+def test_json_table_equals_json_dumps(rows):
+    header = ["r", "W", "method", "stderr", "region"]
+    want = json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
+    assert cli._table(header, rows, "json") == want
+    # a header cell that needs escaping, or holds a format directive
+    odd = ['a "b"', "100%", "s\\t", "{x}", "ü"]
+    want = json.dumps([dict(zip(odd, row)) for row in rows], indent=1) + "\n"
+    assert cli._table(odd, rows, "json") == want
+
+
 def test_sidecars_record_the_output_format(tmp_path):
     runs = {
         "st.json": ["saddle-table", "--n", "3", "--L", "4", "--points", "5"],

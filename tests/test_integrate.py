@@ -256,6 +256,25 @@ def test_quadrature_realness_error_names_first_failing_point(monkeypatch):
     assert str(raised.value) == message
 
 
+def test_quadrature_realness_mass_over_row_blocks_of_the_kernel(monkeypatch):
+    # at M = 512 the incoherent mass adds |B| in four blocks of 128 rows; the
+    # message's incoherent scale is the full-|B| mass of the reference to .3e
+    kernel = integrate._circle_kernel
+    monkeypatch.setattr(integrate, "_circle_kernel", lambda r, L, M: kernel(r, L, M) + 1e-7j)
+    params, M = FamilyParams(2, 10.5), 512
+    alphas = np.array([0.0, 2.5, 6.0], dtype=complex)
+    total, incoherent = reference_contraction(alphas, params, M)
+    assert abs(total[0].imag) > 1e-12 * incoherent[0]
+    z, inc = total[0], incoherent[0]
+    message = (
+        f"imaginary residue {z.imag:.3e} vs real part {z.real:.3e} "
+        f"(incoherent scale {inc:.3e}) at alpha = {alphas[0]:.6g}"
+    )
+    with pytest.raises(RealnessError) as raised:
+        wigner_quadrature(alphas, params, QuadratureSpec(points_per_dim=M))
+    assert str(raised.value) == message
+
+
 def test_quadrature_kernel_underflow_raises():
     # at L = 1 every kernel entry is exp(-2N), below the smallest double here
     N = 400.5
@@ -263,6 +282,37 @@ def test_quadrature_kernel_underflow_raises():
     assert wigner_poisson(alpha, N) == pytest.approx(6.346e-3, rel=1e-3)
     with pytest.raises(FloatingPointError, match="underflows"):
         wigner_quadrature(alpha, FamilyParams(1, N), QuadratureSpec(points_per_dim=1024))
+
+
+def gather_kernel(r, L, M):
+    """The kernel built as full gathered M x M factors through an M x M index,
+    with its every-entry underflow check on the full |B|."""
+    r2 = r * r
+    phases = np.exp(2j * math.pi * np.arange(M) / M)
+    t_link = np.exp(r2 * (phases - 1.0))
+    h_end = np.exp(-r2 * (phases + 1.0))
+    diff = (np.arange(M)[:, None] - np.arange(M)[None, :]) & (M - 1)
+    B = np.linalg.matrix_power(t_link[diff], L - 1) * h_end[diff.T]
+    if np.abs(B).max() < np.finfo(float).tiny:
+        raise FloatingPointError("every kernel entry underflows")
+    return B
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
+def test_circle_kernel_equals_gather_oracle_bit_for_bit(L):
+    build = integrate._circle_kernel.__wrapped__  # past the cache
+    for M in (8, 16, 32, 64, 128, 256, 512):
+        for N in (1.5, 10.5, 50.5):
+            got, want = build(math.sqrt(N), L, M), gather_kernel(math.sqrt(N), L, M)
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (M, N)
+    if L <= 2:
+        # every entry underflows: e^{-2N} on the diagonal at L = 1, everywhere at L = 2
+        for M in (8, 512):
+            with pytest.raises(FloatingPointError):
+                gather_kernel(math.sqrt(400.5), L, M)
+            with pytest.raises(FloatingPointError, match="underflows"):
+                build(math.sqrt(400.5), L, M)
 
 
 def test_montecarlo_spec_validation():
@@ -610,6 +660,28 @@ def test_montecarlo_library_call_faults_its_block_memory_in_once():
         timeout=120,
     )
     assert int(done.stdout.split()[-1]) < 20_000
+
+
+def test_kernel_build_holds_one_kernel():
+    # L = 2, M = 512: one 4 MB kernel plus 256 kB, about 1.06 |B|, for the
+    # length-M vectors and numpy's 8192-element buffer of the strided
+    # multiply (measured 1.046 |B|); gathered factors peaked at 2.5 |B|
+    M = 512
+    peak = traced_peak(lambda: integrate._circle_kernel.__wrapped__(math.sqrt(50.5), 2, M))
+    assert peak <= 16 * M * M + 2**18
+
+
+def test_quadrature_call_allocates_no_kernel_sized_array():
+    # with the kernel cached, a 400-radius call holds O(block) memory: under
+    # one real M x M array (8 MB at M = 1024), though some points fail the
+    # relative realness test and need the incoherent mass, and |B| with it
+    params, M = FamilyParams(2, 50.5), 1024
+    spec = QuadratureSpec(points_per_dim=M)
+    points = np.linspace(0.0, 9.0, 400).astype(complex)
+    total, _ = reference_contraction(points, params, M)
+    assert (np.abs(total.imag) > 1e-10 * np.abs(total.real)).any()
+    wigner_quadrature(points, params, spec)
+    assert traced_peak(lambda: wigner_quadrature(points, params, spec)) < 8 * M * M
 
 
 def test_midpoint_histogram_memory_of_one_batch():
