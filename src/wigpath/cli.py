@@ -54,18 +54,10 @@ def _input_stage():
         raise ConfigError(str(exc)) from exc
 
 
-def _fmt(x) -> str:
-    """Format one output number; a non-finite value is an internal error."""
-    if x is None:
-        return ""
-    if not math.isfinite(x):
-        raise FloatingPointError(f"non-finite output value {x}")
-    return f"{x:.17g}"
-
-
 def _fmt_column(column) -> list[str]:
-    """`_fmt` of each entry of one column (an array, or a list of floats and
-    None), after one finiteness pass over its numbers."""
+    """One output column (an array, or a sequence of numbers and None) as
+    `.17g` cells, None as an empty one, after one finiteness pass over its
+    numbers; a non-finite number is an internal error."""
     cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
     numbers = np.array([x for x in cells if x is not None], dtype=float)
     finite = np.isfinite(numbers)
@@ -74,11 +66,13 @@ def _fmt_column(column) -> list[str]:
     return ["" if x is None else format(x, ".17g") for x in cells]
 
 
-def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
-    """A table of string cells as csv, or as the bytes of
+def _table(header: list[str], columns, fmt: str) -> str:
+    """A table of string cells, one column per header name (a `repeat`
+    column ends with the others), as csv, or as the bytes of
     json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n",
     written from one per-row template with each cell escaped by json's C
     string encoder (json.dumps with an indent runs the pure-Python one)."""
+    rows = list(zip(*columns))
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
     if not rows:
@@ -189,14 +183,14 @@ def _profile_table(r_cells: list[str], method: str, columns: tuple, fmt: str) ->
     formatted radii and its (values, stderrs, regions) columns."""
     values, stderrs, regions = columns
     empty = repeat("")
-    rows = zip(
+    cells = (
         r_cells,
         _fmt_column(values),
         repeat(method),
         empty if stderrs is None else _fmt_column(stderrs),
         empty if regions is None else regions,
     )
-    return _table(["r", "W", "method", "stderr", "region"], list(rows), fmt)
+    return _table(["r", "W", "method", "stderr", "region"], cells, fmt)
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
@@ -317,27 +311,25 @@ def cmd_saddle_table(args: argparse.Namespace) -> int:
         "s", "s_over_r", "branch", "theta_re", "theta_im",
         "action_re", "action_im", "logdet_re", "logdet_im", "t_re", "t_im", "residual", "region",
     ]
-    rows = []
-    for s in grid:
+    # one solution per radius, or None and the name of the zone it lies in
+    solutions, regions = [], []
+    for s in grid.tolist():
         try:
-            sol = solve_saddle(float(s), r, L)
+            solutions.append(solve_saddle(s, r, L))
+            regions.append("")
         except RegionError as exc:
-            rows.append([_fmt(s), _fmt(s / r)] + [""] * 10 + [exc.region])
-            continue
-        ld = sol.log_det_hessian
-        rows.append(
-            [
-                _fmt(s), _fmt(s / r), sol.branch,
-                _fmt(sol.theta.real), _fmt(sol.theta.imag),
-                _fmt(sol.stationary_action.real), _fmt(sol.stationary_action.imag),
-                _fmt(ld.real if ld is not None else None),
-                _fmt(ld.imag if ld is not None else None),
-                _fmt(sol.t.real), _fmt(sol.t.imag),
-                _fmt(sol.residual()), "",
-            ]
-        )
+            solutions.append(None)
+            regions.append(exc.region)
+    branches = ["" if sol is None else sol.branch for sol in solutions]
+    columns = [_fmt_column(grid), _fmt_column(grid / r), branches]
+    for name in ("theta", "stationary_action", "log_det_hessian", "t"):
+        values = [None if sol is None else getattr(sol, name) for sol in solutions]
+        for part in ("real", "imag"):
+            columns.append(_fmt_column([None if z is None else getattr(z, part) for z in values]))
+    residuals = [None if sol is None else sol.residual() for sol in solutions]
+    columns += [_fmt_column(residuals), regions]
     name = f"saddle_n{n}_L{L}.{args.fmt}"
-    print(_emit(args.output, name, _table(header, rows, args.fmt), vars(args), started))
+    print(_emit(args.output, name, _table(header, columns, args.fmt), vars(args), started))
     return EXIT_OK
 
 
@@ -350,13 +342,20 @@ def cmd_mc_diag(args: argparse.Namespace) -> int:
         members = [FamilyParams(L, args.N) for L in range(args.L_min, args.L_max + 1)]
     # the columns of sign_rows, in order, under shorter names
     header = ["L", "estimate", "stderr", "mean_phase_magnitude", "phase_stderr", "ess"]
-    rows = [
-        [_fmt(value) for value in row.values()]
-        for row in sign_rows(members, complex(args.alpha), spec)
-    ]
+    rows = sign_rows(members, complex(args.alpha), spec)
+    columns = [_fmt_column(column) for column in zip(*(row.values() for row in rows))]
     name = f"mc_diag_N{args.N}.{args.fmt}"
-    print(_emit(args.output, name, _table(header, rows, args.fmt), vars(args), started))
+    print(_emit(args.output, name, _table(header, columns, args.fmt), vars(args), started))
     return EXIT_OK
+
+
+def _finite_float(text: str) -> float:
+    """The type of every float option: a malformed, nan or infinite value is
+    a usage error (exit 2), given as a flag or in a config file."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
 
 
 def _read_config_file(path: str, prof: argparse.ArgumentParser) -> dict:
@@ -408,15 +407,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     prof.add_argument("--config", help="key=value file; command-line flags override")
     prof.add_argument("--state", choices=_STATES)
     prof.add_argument("--n", type=int, help="number-state level")
-    prof.add_argument("--N", type=float, help="mean occupation / circle radius squared")
+    prof.add_argument("--N", type=_finite_float, help="mean occupation / circle radius squared")
     prof.add_argument("--L", type=int, help="slice count of the family member")
     prof.add_argument(
         "--method",
         help="evaluation route of the state: "
         + "; ".join(f"{state}: {', '.join(_methods(state))}" for state in _STATES),
     )
-    prof.add_argument("--rmin", dest="r_min", type=float, default=0.0)
-    prof.add_argument("--rmax", dest="r_max", type=float, default=4.0)
+    prof.add_argument("--rmin", dest="r_min", type=_finite_float, default=0.0)
+    prof.add_argument("--rmax", dest="r_max", type=_finite_float, default=4.0)
     prof.add_argument("--points", type=int, default=200)
     prof.add_argument("--M", type=int, default=128, help="quadrature points per angle")
     prof.add_argument("--samples", type=int, default=100_000)
@@ -450,15 +449,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sad = sub.add_parser("saddle-table", help="dump solved saddle data over an |alpha| grid")
     sad.add_argument("--n", type=int, required=True)
     sad.add_argument("--L", type=int, default=8)
-    sad.add_argument("--smin", dest="s_min", type=float, default=0.05)
-    sad.add_argument("--smax", dest="s_max", type=float)
+    sad.add_argument("--smin", dest="s_min", type=_finite_float, default=0.05)
+    sad.add_argument("--smax", dest="s_max", type=_finite_float)
     sad.add_argument("--points", type=int, default=50)
     sad.add_argument("--out", dest="output")
     sad.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
 
     mcd = sub.add_parser("mc-diag", help="sign-problem diagnostics over a range of L")
-    mcd.add_argument("--N", type=float, required=True)
-    mcd.add_argument("--alpha", type=float, default=0.8)
+    mcd.add_argument("--N", type=_finite_float, required=True)
+    mcd.add_argument("--alpha", type=_finite_float, default=0.8)
     mcd.add_argument("--L-min", dest="L_min", type=int, default=1)
     mcd.add_argument("--L-max", dest="L_max", type=int, default=5)
     mcd.add_argument("--samples", type=int, default=200_000)

@@ -432,13 +432,18 @@ def midpoint_histogram(
     [re, im].  Only the alpha-free path terms are evaluated; no end term is
     formed.  Batches are accumulated serially, in batch order, and
     spec.workers is ignored: the bin sums depend on the order of the
-    additions.
+    additions.  A warning counts the empty bins centred inside the circle,
+    which an adequate sample reaches (none at L = 1).
     """
     if grid.half_width < params.radius + 3.0 - 1e-12:
         raise ValueError(
             f"grid must cover the square of half-width sqrt(N)+3 = {params.radius + 3.0:.3f}"
         )
     r = params.radius
+    # chord midpoints fill the open disc |m| < r; at L = 1 the chord is one
+    # point of the circle, so no bin can be counted on to receive a sample
+    c = grid.centers()
+    inside = (c[:, None] ** 2 + c[None, :] ** 2 < r * r) & (params.L > 1)
     cells = grid.bins * grid.bins
     hist = np.zeros(cells, dtype=complex)
     for b, size in enumerate(spec.batch_sizes()):
@@ -452,10 +457,11 @@ def midpoint_histogram(
         hist.real = np.bincount(cell, np.concatenate((hist.real, w.real)), cells)
         hist.imag = np.bincount(cell, np.concatenate((hist.imag, w.imag)), cells)
     hist = hist.reshape(grid.bins, grid.bins)
-    empty = int((hist == 0).sum())
+    empty = np.count_nonzero((hist == 0) & inside)
     if empty:
         warnings.warn(
-            f"{empty} of {grid.bins**2} midpoint bins received no samples",
+            f"{empty} of the {np.count_nonzero(inside)} midpoint bins centred inside the circle "
+            "received no samples",
             stacklevel=2,
         )
     return hist

@@ -108,8 +108,8 @@ class FamilyParams:
     def __post_init__(self):
         if self.L < 1 or int(self.L) != self.L:
             raise ValueError(f"L must be a positive integer, got {self.L}")
-        if not self.N > 0:
-            raise ValueError(f"N must be positive, got {self.N}")
+        if not 0 < self.N < math.inf:
+            raise ValueError(f"N must be positive and finite, got {self.N}")
         if float(self.N).is_integer():
             warnings.warn(
                 f"N = {self.N} is an integer: the L -> infinity limit is "
@@ -202,8 +202,8 @@ def _laguerre_form(alpha, n_max: int, levels, c: float, what: str) -> float | np
 
 def wigner_poisson(alpha, N: float) -> float | np.ndarray:
     """Wigner function of the L = 1 (Poisson) member: strictly positive."""
-    if not N > 0:
-        raise ValueError("N must be positive")
+    if not 0 < N < math.inf:
+        raise ValueError(f"N must be positive and finite, got {N}")
     points, scalar = _points(alpha)
     s = _radii(alpha, points, scalar)
     exponent = -2.0 * s * s - 2.0 * N + log_bessel_i0(4.0 * math.sqrt(N) * s)
@@ -247,8 +247,8 @@ def gaussian_convolve_p1(alpha: complex, N: float) -> tuple[float, float]:
     integrands) to 1e-10 in its log, from 32 up to 2^20 points.  Returns
     (value, achieved error estimate).
     """
-    if not N > 0:
-        raise ValueError("N must be positive")
+    if not 0 < N < math.inf:
+        raise ValueError(f"N must be positive and finite, got {N}")
     s = abs(alpha)
     m = 4.0 * math.sqrt(N) * s
 

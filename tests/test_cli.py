@@ -13,8 +13,10 @@ import pytest
 
 import wigpath
 from wigpath import cli
+from wigpath.checks import sign_rows
 from wigpath.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from wigpath.integrate import MonteCarloSpec, RealnessError, wigner_montecarlo
+from wigpath.saddle import RegionError, solve_saddle
 from wigpath.states import FamilyParams
 
 
@@ -23,6 +25,26 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def cell(x):
+    # the documented cell of one output number: 17 significant digits, or empty
+    return "" if x is None else format(x, ".17g")
+
+
+def table_text(header, rows, fmt):
+    # the documented bytes of a table, assembled row by row
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in [header, *rows])
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
+
+
+def exit_code(argv):
+    # main's return value, or the code of the SystemExit argparse raises
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_package_exports_resolve():
@@ -251,6 +273,39 @@ def test_profile_non_finite_value_exits_3(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc-diag", "--N", "1.5", "--alpha", "nan", "--L-max", "2", "--samples", "2000"],
+        ["mc-diag", "--N", "nan"],
+        ["profile", "--state", "number", "--n", "1", "--method", "exact", "--rmax", "nan"],
+        ["profile", "--state", "number", "--n", "1", "--method", "exact", "--rmax", "inf"],
+        ["profile", "--state", "number", "--n", "1", "--method", "exact", "--rmin=-inf"],
+        ["saddle-table", "--n", "3", "--smax", "inf"],
+        ["saddle-table", "--n", "3", "--smin", "nan"],
+        ["profile", "--state", "poisson", "--N", "inf", "--method", "exact"],
+        ["profile", "--state", "family", "--L", "2", "--N", "inf", "--method", "spectral"],
+    ],
+    ids=["alpha-nan", "diag-N-nan", "rmax-nan", "rmax-inf", "rmin-minus-inf", "smax-inf",
+         "smin-nan", "poisson-N-inf", "family-N-inf"],
+)
+def test_non_finite_option_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("WIGPATH_OUTDIR", str(tmp_path / "out"))
+    assert exit_code(argv) == EXIT_CONFIG_ERROR
+    assert "invalid finite float value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["rmax = nan", "N = -inf", "rmin = inf"])
+def test_non_finite_config_file_value_exits_2(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.setenv("WIGPATH_OUTDIR", str(tmp_path / "out"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"state = poisson\nN = 1.5\nmethod = exact\n{line}\n")
+    assert exit_code(["profile", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+    assert "invalid finite float value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_profile_mc_sign_problem_exits_3(tmp_path, capsys):
     # uniform Monte Carlo cannot resolve W = 3.4e-5 here (effective sample size
     # about 1); the run must fail instead of writing W ~ 1e-19 and exiting 0
@@ -473,6 +528,50 @@ def test_saddle_table(tmp_path):
     assert all(float(row[11]) <= 1e-11 for row in interior)
 
 
+def saddle_table_rows(n, L, grid):
+    # one row per radius from its own solve: a solved saddle, or a zone row
+    r = math.sqrt(n + 0.5)
+    rows = []
+    for s in grid.tolist():
+        try:
+            sol = solve_saddle(s, r, L)
+        except RegionError as exc:
+            rows.append([cell(s), cell(s / r)] + [""] * 10 + [exc.region])
+            continue
+        parts = [sol.theta, sol.stationary_action, sol.log_det_hessian, sol.t]
+        numbers = [x for z in parts for x in ((None, None) if z is None else (z.real, z.imag))]
+        rows.append([cell(s), cell(s / r), sol.branch, *map(cell, numbers),
+                     cell(sol.residual()), ""])
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "n, L, s_min, points",
+    [
+        # s_min = sqrt(10.5) - 2 and the default s_max = sqrt(10.5) + 2: the middle
+        # radius lies on the circle, in the turning zone
+        (10, 8, 1.2403703492039302, 9),
+        (3, 2, 0.05, 57),  # L = 2 has no Hessian log-determinant
+    ],
+    ids=["zone", "L2"],
+)
+def test_saddle_table_bytes_equal_per_row_solves(tmp_path, fmt, n, L, s_min, points):
+    out = tmp_path / f"table.{fmt}"
+    argv = ["saddle-table", "--n", str(n), "--L", str(L), "--smin", repr(s_min),
+            "--points", str(points), "--format", fmt, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    r = math.sqrt(n + 0.5)
+    rows = saddle_table_rows(n, L, np.linspace(s_min, r + 2.0, points))
+    if L == 2:
+        assert all(row[7] == row[8] == "" for row in rows)
+    else:
+        assert [row[-1] for row in rows].count("turning") == 1
+    header = ["s", "s_over_r", "branch", "theta_re", "theta_im", "action_re", "action_im",
+              "logdet_re", "logdet_im", "t_re", "t_im", "residual", "region"]
+    assert out.read_text() == table_text(header, rows, fmt)
+
+
 def test_default_output_directory_env(tmp_path, monkeypatch):
     monkeypatch.setenv("WIGPATH_OUTDIR", str(tmp_path))
     code = main(["profile", "--state", "number", "--n", "1", "--method", "exact", "--points", "4"])
@@ -521,13 +620,28 @@ def test_mc_diag_reports_a_collapsed_member_instead_of_failing(tmp_path):
         res = wigner_montecarlo(2.0 + 0j, FamilyParams(int(row[0]), 30.5), spec)
         assert float(res.effective_sample_size) >= 5.0
         assert row[1:] == [
-            cli._fmt(x) for x in (res.value, res.standard_error, res.mean_phase_magnitude,
-                                  res.phase_standard_error, res.effective_sample_size)
+            cell(x) for x in (res.value, res.standard_error, res.mean_phase_magnitude,
+                              res.phase_standard_error, res.effective_sample_size)
         ]
     for row in rows[2:]:
         assert row[1] == row[2] == row[4] == ""
         assert 0.0 < float(row[3]) <= 1.0
         assert 1.0 <= float(row[5]) < 5.0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mc_diag_bytes_equal_per_member_rows(tmp_path, fmt):
+    # members L = 5, 6 collapse (effective sample size below 5): empty cells
+    out = tmp_path / f"diag.{fmt}"
+    argv = ["mc-diag", "--N", "30.5", "--alpha", "2", "--L-min", "3", "--L-max", "6",
+            "--samples", "20000", "--seed", "0", "--format", fmt, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    members = [FamilyParams(L, 30.5) for L in range(3, 7)]
+    rows = [[cell(x) for x in row.values()]
+            for row in sign_rows(members, 2 + 0j, MonteCarloSpec(20000, seed=0))]
+    assert rows[0][1] != "" and rows[-1][1] == ""  # a solved and a collapsed member
+    header = ["L", "estimate", "stderr", "mean_phase_magnitude", "phase_stderr", "ess"]
+    assert out.read_text() == table_text(header, rows, fmt)
 
 
 def test_mc_diag_empty_range_exits_2(tmp_path, capsys):
@@ -567,11 +681,12 @@ def test_json_output_mirrors_numbers_as_strings(tmp_path):
 def test_json_table_equals_json_dumps(rows):
     header = ["r", "W", "method", "stderr", "region"]
     want = json.dumps([dict(zip(header, row)) for row in rows], indent=1) + "\n"
-    assert cli._table(header, rows, "json") == want
+    columns = list(zip(*rows))
+    assert cli._table(header, columns, "json") == want
     # a header cell that needs escaping, or holds a format directive
     odd = ['a "b"', "100%", "s\\t", "{x}", "ü"]
     want = json.dumps([dict(zip(odd, row)) for row in rows], indent=1) + "\n"
-    assert cli._table(odd, rows, "json") == want
+    assert cli._table(odd, columns, "json") == want
 
 
 def test_sidecars_record_the_output_format(tmp_path):
@@ -599,10 +714,10 @@ def test_profile_table_equals_per_value_rows(fmt, panel):
     if panel == "interpolated":
         values, regions = cli._interpolate_gaps(rs, values, regions)
     rows = [
-        [cli._fmt(r), cli._fmt(value), "saddle", cli._fmt(None), region]
+        [cell(r), cell(value), "saddle", cell(None), region]
         for r, value, region in zip(rs, values, regions)
     ]
-    want = cli._table(["r", "W", "method", "stderr", "region"], rows, fmt)
+    want = table_text(["r", "W", "method", "stderr", "region"], rows, fmt)
     columns = (values, stderrs, regions)
     assert cli._profile_table(cli._fmt_column(rs), "saddle", columns, fmt) == want
 

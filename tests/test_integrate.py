@@ -510,9 +510,7 @@ def test_midpoint_grid_validation():
 def test_midpoints_of_single_slice_paths_sit_on_circle():
     params = FamilyParams(1, 1.5)
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hist = midpoint_histogram(params, MonteCarloSpec(samples=20_000, seed=5), grid)
+    hist = midpoint_histogram(params, MonteCarloSpec(samples=20_000, seed=5), grid)
     r = params.radius
     cell = 2.0 * grid.half_width / grid.bins
     c = grid.centers()
@@ -526,9 +524,7 @@ def test_midpoints_of_single_slice_paths_sit_on_circle():
 def test_midpoint_histogram_outside_circle_is_empty():
     params = FamilyParams(3, 1.5)
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hist = midpoint_histogram(params, MonteCarloSpec(samples=50_000, seed=5), grid)
+    hist = midpoint_histogram(params, MonteCarloSpec(samples=50_000, seed=5), grid)
     c = grid.centers()
     cx, cy = np.meshgrid(c, c, indexing="ij")
     cell = 2.0 * grid.half_width / grid.bins
@@ -538,10 +534,22 @@ def test_midpoint_histogram_outside_circle_is_empty():
 
 
 def test_midpoint_histogram_empty_bin_warning():
+    # 1,000 samples leave bins inside the circle empty
     params = FamilyParams(2, 1.5)
-    grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=32)
-    with pytest.warns(UserWarning, match="bins received no samples"):
-        midpoint_histogram(params, MonteCarloSpec(samples=2000, seed=0), grid)
+    grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
+    with pytest.warns(UserWarning, match="26 of the 268 midpoint bins centred inside the circle"):
+        midpoint_histogram(params, MonteCarloSpec(samples=1000, seed=0), grid)
+
+
+def test_midpoint_histogram_does_not_count_bins_outside_the_circle():
+    # 3,780 of the 4,096 bins stay empty, all outside the circle, where no
+    # chord midpoint falls; the 268 bins centred inside it are all reached
+    params = FamilyParams(3, 1.5)
+    grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = midpoint_histogram(params, MonteCarloSpec(samples=50_000, seed=5), grid)
+    assert (hist == 0).sum() == 3780
 
 
 def reference_midpoint_histogram(params, spec, grid):
@@ -578,9 +586,7 @@ def test_midpoint_histogram_equals_reference_loop(L):
     params = FamilyParams(L, 1.5)
     spec = MonteCarloSpec(samples=20_000, seed=9, batch_size=6_000)  # four batches
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=32)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hist = midpoint_histogram(params, spec, grid)
+    hist = midpoint_histogram(params, spec, grid)
     assert np.array_equal(hist, reference_midpoint_histogram(params, spec, grid))
 
 
@@ -589,9 +595,7 @@ def test_smoothed_map_matches_dense_kernel(bins):
     params = FamilyParams(3, 1.5)
     spec = MonteCarloSpec(samples=100_000, seed=11)
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=bins)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hist = midpoint_histogram(params, spec, grid)
+    hist = midpoint_histogram(params, spec, grid)
     out = smoothed_wigner_from_histogram(hist, grid, params, spec.samples)
     ref = dense_smoothing(hist, grid, params, spec.samples)
     assert out.shape == (bins, bins)
@@ -689,9 +693,7 @@ def test_midpoint_histogram_memory_of_one_batch():
     params = FamilyParams(3, 1.5)
     spec = MonteCarloSpec(samples=31_250, seed=1, batch_size=31_250)
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        peak = traced_peak(lambda: midpoint_histogram(params, spec, grid))
+    peak = traced_peak(lambda: midpoint_histogram(params, spec, grid))
     assert peak <= 4_570_000
 
 
@@ -700,9 +702,7 @@ def test_midpoint_histogram_correlates_with_exact_wigner():
     params = FamilyParams(3, 1.5)
     samples = 10_000_000
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hist = midpoint_histogram(params, MonteCarloSpec(samples=samples, seed=3), grid)
+    hist = midpoint_histogram(params, MonteCarloSpec(samples=samples, seed=3), grid)
     est = smoothed_wigner_from_histogram(hist, grid, params, samples)
     c = grid.centers()
     cx, cy = np.meshgrid(c, c, indexing="ij")

@@ -89,6 +89,15 @@ def test_integer_n_flagged():
     assert [w.filename for w in record] == [__file__]
 
 
+@pytest.mark.parametrize("N", [math.inf, math.nan, 0.0, -1.5])
+def test_non_finite_or_non_positive_n_rejected(N):
+    # an infinite N used to overflow inside FamilyParams, to reach the Bessel
+    # series of wigner_poisson and to refine the angular average to nan
+    for call in (FamilyParams, wigner_poisson, gaussian_convolve_p1):
+        with pytest.raises(ValueError, match="N must be positive and finite"):
+            call(2, N)
+
+
 def test_log_partition_trivial_and_bessel():
     assert FamilyParams(1, 0.7).log_z == pytest.approx(0.0, abs=1e-12)
     assert FamilyParams(1, 12.3).log_z == pytest.approx(0.0, abs=1e-12)
