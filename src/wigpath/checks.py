@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss  # numpy loads this submodule lazily otherwise
 
 from .integrate import (
     MonteCarloSpec,
@@ -51,7 +50,7 @@ class CheckResult:
 @functools.lru_cache(maxsize=None)
 def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (shared by callers)."""
-    x, w = leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(nodes)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import math
 import os
@@ -252,6 +251,7 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     Every level is computed before the first file is written, so a run that
     fails leaves no panel behind.
     """
+    import hashlib
     started = time.time()
     n_values, points, L, fmt = args.n, args.points, args.L, args.fmt
     with _input_stage():

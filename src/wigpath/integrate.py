@@ -33,13 +33,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.random import Generator, Philox  # numpy loads this submodule lazily otherwise
 
 from .action import circle_actions_batch, circle_phasors
 from .states import _WIGNER_BOUND, FamilyParams, WignerSample, _points
@@ -252,7 +250,8 @@ def _batch_angles(seed: int, batch_index: int, size: int, L: int) -> np.ndarray:
     """The (size, L) uniform angles of one Monte Carlo batch, drawn from the
     Philox stream of `seed` jumped `batch_index` times: each batch is fixed by
     (seed, index) alone, whatever thread draws it and in whatever order."""
-    return Generator(Philox(seed).jumped(batch_index)).uniform(0.0, 2.0 * math.pi, (size, L))
+    rng = np.random.Generator(np.random.Philox(seed).jumped(batch_index))
+    return rng.uniform(0.0, 2.0 * math.pi, (size, L))
 
 
 def _radii_per_block(size: int, radii: int) -> int:
@@ -264,23 +263,26 @@ def _radii_per_block(size: int, radii: int) -> int:
 def _mc_batch_sums(
     batch_index: int, size: int, L: int, r: float, s: np.ndarray, seed: int,
     totals: np.ndarray, scratch: np.ndarray,
-) -> np.ndarray:
-    """Sums of one batch at every radius in s, as a (4, radii) array whose
-    rows are sum w, sum (Re w)^2, sum |w| and sum |w|^2 for w = exp(-S).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of one batch at every radius in s: rows sum w, sum (2^-k Re w)^2,
+    sum |w| and sum (2^-k |w|)^2 for w = exp(-S), and the exponents k of each
+    radius's largest |w| (np.frexp).  A scaled square underflows only where the
+    weights do; where none is subnormal, a scaled sum is the unscaled one / 4^k.
 
     The batch is drawn once and serves every radius.  Radii are taken in
     blocks of about _BLOCK_ENTRIES (radius, sample) entries; a profile of more
     blocks re-evaluates the path terms once per block.  Each block is computed
     in views of the caller's flat buffers, totals (complex) and scratch
     (real), so a batch allocates no block-sized array: the actions become w
-    in totals, |w| is formed in the scratch and squared in place once summed,
-    and (Re w)^2 is then squared into the scratch.  Every reduction runs along
-    the sample axis of a C-contiguous block, so each radius is summed exactly
-    as a single-radius call would sum it.
+    in totals, |w| is formed in the scratch and scaled and squared in place
+    once summed, and Re w is then scaled and squared into the scratch.  Every
+    reduction runs along the sample axis of a C-contiguous block, so each
+    radius is summed exactly as a single-radius call would sum it.
     """
     thetas = _batch_angles(seed, batch_index, size, L)
     per_block = _radii_per_block(size, len(s))
     sums = np.empty((4, len(s)), dtype=complex)
+    exps = np.empty(len(s), dtype=np.intc)
     for lo in range(0, len(s), per_block):
         rows = s[lo : lo + per_block]
         shape, entries = (rows.size, size), rows.size * size
@@ -291,21 +293,22 @@ def _mc_batch_sums(
         cols = slice(lo, lo + per_block)
         sums[0, cols] = w.sum(axis=1)
         sums[2, cols] = mag.sum(axis=1)
-        sums[3, cols] = np.square(mag, out=mag).sum(axis=1)
-        sums[1, cols] = np.square(w.real, out=real).sum(axis=1)
-    return sums
+        exps[cols] = k = np.frexp(mag.max(axis=1))[1]
+        sums[3, cols] = np.square(np.ldexp(mag, -k[:, None], out=mag), out=mag).sum(axis=1)
+        sums[1, cols] = np.square(np.ldexp(w.real, -k[:, None], out=real), out=real).sum(axis=1)
+    return sums, exps
 
 
 def _mc_chunk_sums(
     batches: list[tuple[int, int]], L: int, r: float, s: np.ndarray, seed: int
-) -> np.ndarray:
-    """Sums of a run of (batch index, size) batches, stacked in order to
-    (batch, 4, radii), computed in one buffer pair sized to the run's largest
-    radius block."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and exponents of a run of (batch index, size) batches, stacked in
+    order to (batch, 4, radii) and (batch, radii), computed in one buffer pair
+    sized to the run's largest radius block."""
     entries = max(_radii_per_block(size, len(s)) * size for _, size in batches)
     totals, scratch = np.empty(entries, dtype=complex), np.empty(entries)
     sums = [_mc_batch_sums(b, size, L, r, s, seed, totals, scratch) for b, size in batches]
-    return np.stack(sums)
+    return tuple(map(np.stack, zip(*sums)))
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -351,17 +354,17 @@ def wigner_montecarlo(
     runs = min(spec.workers, len(batches))
     bounds = [i * len(batches) // runs for i in range(runs + 1)]
     chunks = [batches[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-    def chunk_sums(chunk):
-        return _mc_chunk_sums(chunk, params.L, params.radius, s, spec.seed)
-
+    chunk_sums = partial(_mc_chunk_sums, L=params.L, r=params.radius, s=s, seed=spec.seed)
     if runs > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=runs) as pool:
             parts = list(pool.map(chunk_sums, chunks))
     else:
         parts = list(map(chunk_sums, chunks))
-    # one (4, point) array of sums per batch, in batch order: (batch, 4, point)
-    stats = np.concatenate(parts)
+    # (batch, 4, point) sums; each point's squared rows go to its largest exponent
+    stats, exps = (np.concatenate(part) for part in zip(*parts))
+    top = exps.max(axis=0)
+    stats.real[:, 1::2] = np.ldexp(stats.real[:, 1::2], 2 * (exps - top)[:, None])
     sum_w, *totals = stats.sum(axis=0)
     sum_w_re2, sum_mag, sum_mag2 = (t.real for t in totals)
 
@@ -369,33 +372,31 @@ def wigner_montecarlo(
     scale = _WIGNER_BOUND * math.exp(-params.log_z)
     estimate = scale * sum_w.real / n
     phase = np.fmin(1.0, _ratio(np.hypot(sum_w.real, sum_w.imag), sum_mag))
-    ess = _ratio(np.float_power(sum_mag, 2), sum_mag2)
+    ess = _ratio(np.float_power(np.ldexp(sum_mag, -top), 2), sum_mag2)
     low = np.flatnonzero(ess < _MIN_ESS)
     if low.size:
         k = low[0]
         raise SignProblemError(
             f"effective sample size {ess[k]:.3g} of {n} samples is below the floor "
             f"{_MIN_ESS:g} at alpha = {points[k]:.6g}: the sign problem hides the value",
-            float(ess[k]),
-            float(phase[k]),
+            float(ess[k]), float(phase[k]),
         )
     if len(sizes) > 1:
         batch_w, batch_n = stats[:, 0], np.array(sizes)
         weights = batch_n / n
-        se = _weighted_batch_se(scale * batch_w.real / batch_n[:, None], weights)
+        # batch means in units of 2^top: their deviations square without underflow
+        means = scale * np.ldexp(batch_w.real, -top) / batch_n[:, None]
+        se = np.ldexp(_weighted_batch_se(means, weights), top)
         batch_phase = np.fmin(1.0, _ratio(np.hypot(batch_w.real, batch_w.imag), stats[:, 2].real))
         phase_se = _weighted_batch_se(batch_phase, weights).tolist()
     else:
-        # single batch: fall back to the per-sample variance
-        var = np.maximum(sum_w_re2 / n - np.float_power(sum_w.real / n, 2), 0.0)
-        se = scale * np.sqrt(var / max(n - 1, 1))
+        # single batch: fall back to the per-sample variance, in units of 4^top
+        var = np.maximum(sum_w_re2 / n - np.float_power(np.ldexp(sum_w.real, -top) / n, 2), 0.0)
+        se = scale * np.ldexp(np.sqrt(var / max(n - 1, 1)), top)
         phase_se = [None] * len(points)
     columns = zip(points, estimate.tolist(), se.tolist(), phase.tolist(), ess.tolist(), phase_se)
     results = [
-        WignerSample(
-            a, value, "monte-carlo", standard_error=error, mean_phase_magnitude=ph,
-            effective_sample_size=n_eff, phase_standard_error=ph_se,
-        )
+        WignerSample(a, value, "monte-carlo", error, ph, n_eff, ph_se)
         for a, value, error, ph, n_eff, ph_se in columns
     ]
     return results[0] if scalar else results

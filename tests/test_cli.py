@@ -340,19 +340,58 @@ def test_value_error_during_run_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_out():
+# modules `import wigpath.cli` leaves out: scipy serves only the benchmark's
+# oracles, and the rest load on first use.  The flag marks those that a
+# quadrature and a spectral profile must leave out as well; the others load
+# for the check suites and figure2.
+DEFERRED_MODULES = [
+    ("scipy", True),
+    ("numpy.random", True),
+    ("concurrent.futures", True),
+    ("_hashlib", True),
+    ("numpy.polynomial", False),
+    ("hashlib", False),
+    ("secrets", False),
+]
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """The modules a fresh interpreter holds after `import wigpath, wigpath.cli`,
+    and after it then runs an L = 2, M = 32 quadrature profile and a spectral
+    profile through cli.main."""
+    out = tmp_path_factory.mktemp("deferred")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = (
-        "import sys, wigpath, wigpath.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    probe = f"""
+import json, sys, wigpath, wigpath.cli
+imported = sorted(sys.modules)
+argv = ["profile", "--state", "family", "--L", "2", "--N", "1.5", "--rmax", "3"]
+quadrature = ["--method", "quadrature", "--M", "32", "--out", {str(out / "q.csv")!r}]
+assert wigpath.cli.main([*argv, *quadrature]) == 0
+assert wigpath.cli.main([*argv, "--method", "spectral", "--out", {str(out / "s.csv")!r}]) == 0
+print(json.dumps([imported, sorted(sys.modules)]))
+"""
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True,
         timeout=120,
     )
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "module, after_runs", DEFERRED_MODULES, ids=[m for m, _ in DEFERRED_MODULES]
+)
+def test_cli_import_leaves_module_out(loaded_modules, module, after_runs):
+    imported, after_profiles = loaded_modules
+
+    def loaded(names):
+        return [m for m in names if m == module or m.startswith(module + ".")]
+
+    assert loaded(imported) == []
+    if after_runs:
+        assert loaded(after_profiles) == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
@@ -592,6 +631,28 @@ def test_mc_diag(tmp_path):
     phases = [float(row[3]) for row in rows]
     assert phases[0] == pytest.approx(1.0, abs=1e-12)
     assert all(p > 0.0 for p in phases)
+
+
+@pytest.mark.parametrize("rmin, rmax, points", [("12", "16", "5"), ("14", "14.8", "3")])
+def test_profile_mc_far_tail_has_positive_standard_errors(tmp_path, rmin, rmax, points):
+    # L = 1 far outside the circle: every weight is positive and below 1e-100,
+    # so the squared weights underflow unless they are scaled first
+    out = tmp_path / "mc.csv"
+    argv = ["profile", "--state", "family", "--L", "1", "--N", "1.5", "--method", "mc",
+            "--samples", "2000", "--rmin", rmin, "--rmax", rmax, "--points", points,
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    header, rows = read_csv(out)
+    assert len(rows) == int(points)
+    assert all(float(row[header.index("stderr")]) > 0.0 for row in rows)
+
+
+def test_mc_diag_far_tail_keeps_its_effective_sample_size(tmp_path):
+    # at alpha = 20 the largest weight at L = 1 is about 1e-306
+    out = tmp_path / "diag.csv"
+    assert main(["mc-diag", "--N", "1.5", "--alpha", "20", "--L-max", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert float(rows[0][header.index("ess")]) > 5.0
 
 
 def test_mc_diag_rows_equal_check_sign_rows(tmp_path):

@@ -501,6 +501,42 @@ def test_montecarlo_rejects_2d_points():
         wigner_montecarlo(np.zeros((2, 2)), FamilyParams(2, 1.5), MonteCarloSpec(samples=2_000))
 
 
+@pytest.mark.parametrize(
+    "radii", [np.linspace(12.0, 16.0, 5), np.linspace(14.0, 14.8, 3)], ids=["12-16", "14-14.8"]
+)
+def test_montecarlo_second_moments_scale_with_the_weights(radii):
+    # far outside the L = 1 circle every weight is positive but below 1e-100:
+    # their squares, and the squared deviations of the batch means, would
+    # underflow to 0 where the weights themselves are normal numbers
+    params = FamilyParams(1, 1.5)
+    results = wigner_montecarlo(radii.astype(complex), params, MonteCarloSpec(2_000, seed=0))
+    exact = wigner_poisson(radii, 1.5)
+    for res, w in zip(results, exact):
+        assert res.standard_error > 0.0
+        assert res.effective_sample_size > 5.0
+        assert abs(res.value - w) <= 5.0 * res.standard_error
+
+
+def log_sum_exp(x):
+    top = x.max()
+    return top + math.log(np.exp(x - top).sum())
+
+
+def test_montecarlo_ess_equals_log_sum_exp_reference():
+    # (sum |w|)^2 / sum |w|^2 from the logs of the same draws: at alpha = 15
+    # the largest |w| is about 1e-165, so no weight is squared on this route
+    params, spec = FamilyParams(1, 1.5), MonteCarloSpec(2_000, seed=0)
+    actions = [
+        circle_actions_batch(batch_angles(spec, b, size, 1), params.radius, np.array([15.0]))[0]
+        for b, size in enumerate(spec.batch_sizes())
+    ]
+    log_mag = -np.concatenate(actions).real
+    assert np.exp(2.0 * log_mag.max()) == 0.0
+    reference = math.exp(2.0 * log_sum_exp(log_mag) - log_sum_exp(2.0 * log_mag))
+    res = wigner_montecarlo(15.0 + 0j, params, spec)
+    assert res.effective_sample_size == pytest.approx(reference, rel=1e-12)
+
+
 def test_midpoint_grid_validation():
     params = FamilyParams(2, 1.5)
     with pytest.raises(ValueError):
