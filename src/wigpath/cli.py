@@ -251,7 +251,14 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     Every level is computed before the first file is written, so a run that
     fails leaves no panel behind.
     """
-    import hashlib
+    # the interpreter's own SHA-256 where it has one: hashlib loads OpenSSL
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python <= 3.11
+        except ImportError:
+            from hashlib import sha256
     started = time.time()
     n_values, points, L, fmt = args.n, args.points, args.L, args.fmt
     with _input_stage():
@@ -271,7 +278,7 @@ def cmd_figure2(args: argparse.Namespace) -> int:
             files[label] = f"n{n}_{label}.{fmt}"
             (base / files[label]).write_text(_profile_table(r_cells, method, columns, fmt))
         config = {"n": n, "N": n + 0.5, "points": points, "L": L, "fmt": fmt}
-        digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+        digest = sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
         manifest["panels"].append({"n": n, "files": files, "config": config, "config_sha256": digest})
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     print(_emit(str(base / "manifest.json"), "", text, vars(args), started))

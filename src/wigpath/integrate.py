@@ -65,10 +65,12 @@ class RealnessError(RuntimeError):
 
 class SignProblemError(RuntimeError):
     """Monte Carlo weights too uneven at a point for its estimate to mean
-    anything; carries that point's effective sample size and mean phase
-    magnitude."""
+    anything, or all underflowed to 0; carries that point's effective sample
+    size and mean phase magnitude (None where every weight underflowed)."""
 
-    def __init__(self, message: str, effective_sample_size: float, mean_phase_magnitude: float):
+    def __init__(
+        self, message: str, effective_sample_size: float, mean_phase_magnitude: float | None
+    ):
         super().__init__(message)
         self.effective_sample_size = effective_sample_size
         self.mean_phase_magnitude = mean_phase_magnitude
@@ -337,7 +339,8 @@ def wigner_montecarlo(
     to a single-point call there.  Each sample carries the standard error and
     the sign-problem diagnostics.  The estimate divides by the exact
     number-basis partition sum Z(L, N).  Raises :class:`SignProblemError`,
-    naming the first such point, where the effective sample size is below 5.
+    naming the first such point, where the effective sample size is below 5
+    or every weight underflows.
 
     The batch sums of every point are combined at once.  Totals run over the
     leading batch axis, which numpy adds in batch order; np.hypot and
@@ -376,6 +379,12 @@ def wigner_montecarlo(
     low = np.flatnonzero(ess < _MIN_ESS)
     if low.size:
         k = low[0]
+        if sum_mag[k] == 0:
+            raise SignProblemError(
+                f"every weight exp(-S) of {n} samples underflows to 0 at alpha = "
+                f"{points[k]:.6g}: the samples carry no value",
+                0.0, None,
+            )
         raise SignProblemError(
             f"effective sample size {ess[k]:.3g} of {n} samples is below the floor "
             f"{_MIN_ESS:g} at alpha = {points[k]:.6g}: the sign problem hides the value",

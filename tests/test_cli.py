@@ -1,5 +1,6 @@
 """CLI tests: reproducible outputs, sidecars, exit codes, bundle manifest."""
 
+import hashlib
 import json
 import math
 import os
@@ -350,16 +351,17 @@ DEFERRED_MODULES = [
     ("concurrent.futures", True),
     ("_hashlib", True),
     ("numpy.polynomial", False),
-    ("hashlib", False),
-    ("secrets", False),
+    ("hashlib", True),
+    ("secrets", True),
 ]
 
 
 @pytest.fixture(scope="module")
 def loaded_modules(tmp_path_factory):
     """The modules a fresh interpreter holds after `import wigpath, wigpath.cli`,
-    and after it then runs an L = 2, M = 32 quadrature profile and a spectral
-    profile through cli.main."""
+    and after it then runs an L = 2, M = 32 quadrature profile, a spectral
+    profile, figure2 and the oracle, normalization and determinant check
+    suites through cli.main."""
     out = tmp_path_factory.mktemp("deferred")
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ}
@@ -371,6 +373,9 @@ argv = ["profile", "--state", "family", "--L", "2", "--N", "1.5", "--rmax", "3"]
 quadrature = ["--method", "quadrature", "--M", "32", "--out", {str(out / "q.csv")!r}]
 assert wigpath.cli.main([*argv, *quadrature]) == 0
 assert wigpath.cli.main([*argv, "--method", "spectral", "--out", {str(out / "s.csv")!r}]) == 0
+assert wigpath.cli.main(["figure2", "--n", "1", "--points", "101", "--out-dir", {str(out)!r}]) == 0
+for suite in ("oracle", "normalization", "determinant"):
+    assert wigpath.cli.main(["check", suite]) == 0
 print(json.dumps([imported, sorted(sys.modules)]))
 """
     done = subprocess.run(
@@ -384,14 +389,14 @@ print(json.dumps([imported, sorted(sys.modules)]))
     "module, after_runs", DEFERRED_MODULES, ids=[m for m, _ in DEFERRED_MODULES]
 )
 def test_cli_import_leaves_module_out(loaded_modules, module, after_runs):
-    imported, after_profiles = loaded_modules
+    imported, after_runs_loaded = loaded_modules
 
     def loaded(names):
         return [m for m in names if m == module or m.startswith(module + ".")]
 
     assert loaded(imported) == []
     if after_runs:
-        assert loaded(after_profiles) == []
+        assert loaded(after_runs_loaded) == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting")
@@ -440,7 +445,9 @@ def test_figure2_bundle(tmp_path):
     panel = manifest["panels"][0]
     assert panel["n"] == 1
     assert set(panel["files"]) == {"exact", "saddle", "poisson"}
-    assert len(panel["config_sha256"]) == 64
+    # the manifest digest is the standard SHA-256 of the sorted config JSON
+    digest = hashlib.sha256(json.dumps(panel["config"], sort_keys=True).encode()).hexdigest()
+    assert panel["config_sha256"] == digest
     for name in panel["files"].values():
         assert (tmp_path / name).exists()
     _, rows = read_csv(tmp_path / panel["files"]["saddle"])
@@ -449,6 +456,17 @@ def test_figure2_bundle(tmp_path):
     assert all(row[1] != "" for row in rows)  # gaps filled for plotting
     _, prows = read_csv(tmp_path / panel["files"]["poisson"])
     assert all(float(row[1]) >= 0.0 for row in prows)
+
+
+def test_figure2_manifest_is_the_same_through_hashlib(tmp_path, monkeypatch):
+    # an interpreter without its own SHA-256 module falls back to hashlib
+    argv = ["figure2", "--n", "1", "10", "--points", "11", "--out-dir"]
+    assert main([*argv, str(tmp_path / "builtin")]) == EXIT_OK
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert main([*argv, str(tmp_path / "hashlib")]) == EXIT_OK
+    manifests = [(tmp_path / d / "manifest.json").read_text() for d in ("builtin", "hashlib")]
+    assert manifests[0] == manifests[1]
 
 
 def test_figure2_failed_level_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -653,6 +671,28 @@ def test_mc_diag_far_tail_keeps_its_effective_sample_size(tmp_path):
     assert main(["mc-diag", "--N", "1.5", "--alpha", "20", "--L-max", "1", "--out", str(out)]) == 0
     header, rows = read_csv(out)
     assert float(rows[0][header.index("ess")]) > 5.0
+
+
+def test_profile_mc_names_underflow_where_every_weight_is_zero(tmp_path, capsys):
+    # at L = 1, alpha = 30 every weight exp(-S) is below the smallest subnormal
+    out = tmp_path / "mc.csv"
+    argv = ["profile", "--state", "family", "--L", "1", "--N", "1.5", "--method", "mc",
+            "--samples", "2000", "--rmin", "30", "--rmax", "30", "--points", "1",
+            "--out", str(out)]
+    assert main(argv) == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert "SignProblemError: every weight exp(-S) of 2000 samples underflows to 0" in err
+    assert "at alpha = 30+0j" in err
+    assert "sign problem" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mc_diag_leaves_the_phase_of_an_underflowed_member_empty(tmp_path):
+    # no weight survives at alpha = 30, so there is no mean phase to write
+    out = tmp_path / "diag.csv"
+    assert main(["mc-diag", "--N", "1.5", "--alpha", "30", "--L-max", "1", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows == [["1", "", "", "", "", "0"]]
 
 
 def test_mc_diag_rows_equal_check_sign_rows(tmp_path):

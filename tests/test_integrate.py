@@ -487,6 +487,15 @@ def test_sign_problem_error_carries_the_point_diagnostics():
     assert f"effective sample size {info.value.effective_sample_size:.3g} " in str(info.value)
 
 
+def test_montecarlo_names_underflow_where_every_weight_is_zero():
+    # the first point keeps its weights; at alpha = 30 every exp(-S) underflows
+    message = r"every weight exp\(-S\) of 2000 samples underflows to 0 at alpha = 30\+0j"
+    with pytest.raises(SignProblemError, match=message) as info:
+        wigner_montecarlo(np.array([1.0, 30.0]), FamilyParams(1, 1.5), MonteCarloSpec(2_000))
+    assert info.value.effective_sample_size == 0.0
+    assert info.value.mean_phase_magnitude is None
+
+
 def test_montecarlo_radius_blocks_do_not_change_results(monkeypatch):
     params = FamilyParams(2, 1.5)
     spec = MonteCarloSpec(samples=8_000, seed=4, batch_size=1_000)
