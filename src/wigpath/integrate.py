@@ -4,14 +4,14 @@ Quadrature route: the angle integrals are discretized on a uniform tensor
 grid (trapezoid rule; the integrand is periodic and entire in every angle, so
 the error decays faster than any power of 1/M).  The grid sum is evaluated by
 contracting a transfer matrix over the angle grid -- an exact reordering of
-the same sum, so the tensor-product budget guard is kept as stated.  The
-points of a call share one cached kernel, and a block of points is one BLAS
-product with it; outputs were measured byte-identical at OpenBLAS thread
-counts 1, 2 and the default.  A point's end factor takes one complex exp per
-grid angle, and the factor at the other end is its conjugate; the incoherent
-mass of the realness check is formed only where the relative test fails.
-The kernel is built in the M x M array it is returned in, and a call with
-the kernel cached allocates no M x M array.  The overall constant is
+the same sum, so the tensor-product budget guard is kept as stated.  On the
+uniform grid that matrix is circulant and is held as its cached first column;
+a block of points is BLAS products with column blocks copied out of it, so no
+M x M array exists at any time.  Outputs were measured byte-identical at
+OpenBLAS thread counts 1, 2 and the default.  A point's end factor takes one
+complex exp per grid angle, and the factor at the other end is its
+conjugate; the incoherent mass of the realness check is formed only where
+the relative test fails.  The overall constant is
 anchored so that L = 1 reproduces the Poisson closed form exactly; this
 fixes the 2/pi carried by the displaced-parity matrix element together with
 the (2 pi)^{-L} angle measure.
@@ -45,11 +45,11 @@ from .states import _WIGNER_BOUND, FamilyParams, WignerSample, _points
 _IMAG_RESIDUE_TOL = 1e-10
 # (radius, sample) entries per block of the Monte Carlo temporaries
 _BLOCK_ENTRIES = 1_000_000
-# (radius, angle) entries per block of the quadrature factors
-_QUAD_BLOCK_ENTRIES = 2**16
-# (row, angle) entries per block of the kernel's underflow scan: small
-# against the kernel, so the build peaks near one M x M complex array
-_KERNEL_SCAN_ENTRIES = 2**13
+# (radius, angle) entries per block of the quadrature factors, of at least
+# 128 points (each block copies out all M^2 kernel entries), and kernel
+# entries per column block of the product
+_QUAD_BLOCK_ENTRIES = _KERNEL_BLOCK_ENTRIES = 2**16
+_QUAD_MIN_BLOCK_POINTS = 128
 # a Monte Carlo point below this effective sample size raises: a few samples
 # carry its whole estimate and standard error
 _MIN_ESS = 5.0
@@ -81,12 +81,12 @@ class QuadratureSpec:
     """Uniform-grid quadrature settings: M points per angle, M^L work budget.
 
     The budget guards the M^L grid points the sum stands for.  The work done
-    is at most (L-1) M^3 for the kernel products, once per (L, N, M), plus
+    is (L-2) M^2 for the kernel's convolutions, once per (L, N, M), plus
     k M^2 complex for a call at k points, plus M^2 real for each point that
     fails the relative realness test, with one complex exp per (point, angle).
-    The memory is one M x M complex kernel (16 M^2 bytes) at L <= 2, and the
-    matrix-power factors as well while the kernel is built at L >= 3, plus
-    O(2^16) entries per call; the kernel cache keeps up to 16 kernels alive.
+    The memory is the kernel's circulant column, M complex, plus
+    O(max(2^16, 128 M)) entries per call; the kernel cache keeps up to 16
+    columns alive.
     """
 
     points_per_dim: int = 128
@@ -134,54 +134,52 @@ class MonteCarloSpec:
 
 @lru_cache(maxsize=16)
 def _circle_kernel(r: float, L: int, M: int) -> np.ndarray:
-    """Alpha-independent part of the grid sum, read-only (shared by callers).
+    """First column c of the circulant kernel B[j, k] = c[(j - k) mod M] that
+    carries the alpha-independent part of the grid sum; read-only (shared).
 
-    B[j, k] = (T^{L-1})[j, k] * h[(k - j) mod M], where T[j, k] =
-    t[(j - k) mod M] is the rescaled inter-slice link factor and h the
-    combined closing-link and end-pair factor.  Each factor carries exp(-r^2)
-    so entries stay bounded.  Both factors are circulant: T is one contiguous
-    copy of a window view of (t, t), and h multiplies B in place through a
-    window view of (h, h), so at L <= 2 the build holds just the array it
-    returns.  T^{L-1} is a BLAS matrix power (deterministic across OpenBLAS
-    thread counts, see the module docstring).  Raises FloatingPointError when
-    every entry of B underflows, where the grid sum would read 0.
-    """
+    c[d] = p[d] h[(-d) mod M]: p is the rescaled inter-slice link factor t
+    convolved with itself L - 2 times modulo M, directly in (L - 2) M^2 work
+    (the column of T^{L-1} for T[j, k] = t[(j - k) mod M]), and h the combined
+    closing-link and end-pair factor; each carries exp(-r^2) so entries stay
+    bounded.  Raises FloatingPointError if every entry underflows to 0."""
     r2 = r * r
     phases = np.exp(2j * math.pi * np.arange(M) / M)
     t_link = np.exp(r2 * (phases - 1.0))
     h_end = np.exp(-r2 * (phases + 1.0))
-    if L == 1:
-        B = np.eye(M, dtype=complex)
-    else:
-        # window i of (t, t), reversed, reads t[(i - 1 - k) mod M]: row j is window j + 1
-        windows = sliding_window_view(np.concatenate((t_link, t_link)), M)
-        T = np.ascontiguousarray(windows[1:, ::-1])
-        B = np.linalg.matrix_power(T, L - 1)
-    # window i of (h, h) reads h[(i + k) mod M]: row j is window M - j
-    B *= sliding_window_view(np.concatenate((h_end, h_end)), M)[M:0:-1]
-    rows, tiny = max(1, _KERNEL_SCAN_ENTRIES // M), np.finfo(float).tiny
-    if not any(np.abs(B[lo : lo + rows]).max() >= tiny for lo in range(0, M, rows)):
+    p = t_link if L > 1 else np.eye(1, M, dtype=complex)[0]
+    for _ in range(L - 2):
+        p = np.append(np.convolve(p, t_link), 0.0).reshape(2, M).sum(axis=0)
+    c = p * np.roll(h_end[::-1], 1)
+    if not np.abs(c).max() >= np.finfo(float).tiny:
         raise FloatingPointError(f"every kernel entry underflows at L={L}, N={r2:.6g}, M={M}")
-    B.setflags(write=False)
-    return B
+    c.setflags(write=False)
+    return c
 
 
-def _check_realness(
-    points: np.ndarray, totals: np.ndarray, mag: np.ndarray, B: np.ndarray
-) -> None:
+def _kernel_product(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """u @ B for the circulant B of first column c, in column blocks of
+    about _KERNEL_BLOCK_ENTRIES entries (powers of two, like M, so the width
+    divides M), each one contiguous copy of a window view of the doubled,
+    reversed c: no M x M array is formed."""
+    M = c.size
+    width = min(M, max(1, _KERNEL_BLOCK_ENTRIES // M))
+    # window i reads c[(M - 1 - i - m) mod M] at column m: row j of the block
+    # at k0 is window k0 + M - 1 - j
+    windows = sliding_window_view(np.tile(c[::-1], 2), width)
+    block, out = np.empty((M, width), dtype=c.dtype), np.empty_like(u)
+    for k0 in range(0, M, width):
+        np.copyto(block, windows[k0 : k0 + M][::-1])
+        np.matmul(u, block, out=out[:, k0 : k0 + width])
+    return out
+
+
+def _check_realness(points: np.ndarray, totals: np.ndarray, mag: np.ndarray, c: np.ndarray):
     """Raise RealnessError at the first point whose grid sum has an imaginary
     residue above 1e-12 of its incoherent mass sum_jk |u_j| |B_jk| |u_k|, with
-    |u| at each point as one row of mag.  A residue only signals a bug when it
-    is large against both the real part and the incoherent mass;
-    deep-cancellation tails sit at roundoff.  |B| is formed a block of rows at
-    a time, so no M x M array is allocated."""
-    if not len(points):
-        return
-    M = B.shape[0]
-    rows = max(1, _QUAD_BLOCK_ENTRIES // M)
-    mass = np.zeros_like(mag)
-    for lo in range(0, M, rows):
-        mass += mag[:, lo : lo + rows] @ np.abs(B[lo : lo + rows])
+    |u| as one row of mag: a residue only signals a bug when it is large
+    against both the real part and the incoherent mass (deep-cancellation
+    tails sit at roundoff).  |B| is formed from |c| a column block at a time."""
+    mass = _kernel_product(mag, np.abs(c))
     incoherent = (mass * mag).sum(axis=1)
     failed = np.flatnonzero(np.abs(totals.imag) > 1e-12 * incoherent)
     if failed.size:
@@ -204,26 +202,24 @@ def wigner_quadrature(
     FloatingPointError if the kernel underflows, and :class:`RealnessError`
     if the grid sum at a point fails to be real to 1e-10 relative (the
     uniform grid pairs every path with its time reverse, so a residue signals
-    a bug rather than a numerical limit).
-
-    Array rows match one-point calls to about 1 ulp, not bit for bit: numpy
-    sends one row to BLAS gemv and a block to gemm, which add in another order.
+    a bug rather than a numerical limit).  Array rows equal one-point calls
+    bit for bit.
     """
     spec.check_budget(params.L)
     points, scalar = _points(alpha)
     flat = np.array(points, dtype=complex)
     M = spec.points_per_dim
     r = params.radius
-    B = _circle_kernel(r, params.L, M)
+    c = _circle_kernel(r, params.L, M)
     theta = 2.0 * math.pi * np.arange(M) / M
     scale = _WIGNER_BOUND * math.exp(-params.log_z - params.L * math.log(M))
-    per_block = max(1, _QUAD_BLOCK_ENTRIES // M)
+    per_block = max(_QUAD_MIN_BLOCK_POINTS, _QUAD_BLOCK_ENTRIES // M)
     totals = np.empty(flat.size, dtype=complex)
-    # (indices, |u| rows) of the points that fail the relative realness test,
-    # held until about per_block of them share one pass over |B|
-    pending = []
     for lo in range(0, flat.size, per_block):
-        block = flat[lo : lo + per_block]
+        n = min(per_block, flat.size - lo)
+        # a lone point is stacked twice: numpy would send one row to BLAS gemv,
+        # which adds in another order than the gemm of a block
+        block = flat[lo : lo + n] if n > 1 else np.repeat(flat[lo], 2)
         s = np.abs(block)[:, None]
         # one unit phasor row per distinct point angle: a radial profile has one
         angles, rows = np.unique(np.angle(block), return_inverse=True)
@@ -231,18 +227,14 @@ def wigner_quadrature(
         u *= 2.0 * r * s
         u -= s * s
         np.exp(u, out=u)
-        # the end factor at the other end is conj(u), formed in place (the mass
-        # needs only |u|)
-        total = u @ B
+        # the end factor at the other end is conj(u), formed in place (|u| stays)
+        total = _kernel_product(u, c)
         total *= np.conjugate(u, out=u)
-        total = total.sum(axis=1)
-        totals[lo : lo + per_block] = total
+        total = total.sum(axis=1)[:n]
+        totals[lo : lo + n] = total
         suspect = np.flatnonzero(np.abs(total.imag) > _IMAG_RESIDUE_TOL * np.abs(total.real))
-        pending.append((lo + suspect, np.abs(u[suspect])))
-        if sum(len(index) for index, _ in pending) >= per_block or lo + per_block >= flat.size:
-            index, mag = map(np.concatenate, zip(*pending))
-            _check_realness(flat[index], totals[index], mag, B)
-            pending = []
+        if suspect.size:
+            _check_realness(flat[lo + suspect], total[suspect], np.abs(u[suspect]), c)
     values = zip(points, (scale * totals.real).tolist())
     results = [WignerSample(a, x, "quadrature") for a, x in values]
     return results[0] if scalar else results
