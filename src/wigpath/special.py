@@ -34,15 +34,12 @@ def elementwise(f, x):
 def log_bessel_i0(x):
     """ln I0(x) at a float x >= 0, giving a float, or at each element of an
     array of them, giving an array of its shape; stable for x up to at least
-    1e4.  A negative or non-finite element raises ValueError naming the first.
-    An array element has the bits of the float: see _sum_terms."""
+    1e4.  A negative or non-finite element raises ValueError naming the first."""
     if isinstance(x, (int, float)):
         x = float(x)
         if not (x >= 0.0 and math.isfinite(x)):
             raise ValueError(f"I0 is only evaluated for finite x >= 0, got {x!r}")
-        if x < _I0_SWITCH:
-            return math.log(_i0_series(x))
-        return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(_i0_asymptotic_factor(x))
+        return _log_i0(x, x < _I0_SWITCH)
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     bad = np.flatnonzero(~((flat >= 0.0) & np.isfinite(flat)))
@@ -50,45 +47,41 @@ def log_bessel_i0(x):
         raise ValueError(f"I0 is only evaluated for finite x >= 0, got {flat[bad[0]].item()!r}")
     out = np.empty_like(flat)
     series = flat < _I0_SWITCH
-    small, big = flat[series], flat[~series]
-    out[series] = elementwise(math.log, _sum_terms(0.25 * small * small, asymptotic=False))
-    log_factor = elementwise(math.log, _sum_terms(big, asymptotic=True))
-    out[~series] = big - 0.5 * elementwise(math.log, 2.0 * math.pi * big) + log_factor
+    out[series] = _log_i0(flat[series], True)
+    out[~series] = _log_i0(flat[~series], False)
     return out.reshape(xs.shape)
 
 
-def _i0_series(x: float) -> float:
+def _log_i0(x, series: bool):
+    """ln I0 at a float x or at each element of an array x, all of them below
+    the switch (by the power series) or all at or above it."""
+    if series:
+        return elementwise(math.log, _i0_series(x))
+    log_factor = elementwise(math.log, _i0_asymptotic_factor(x))
+    return x - 0.5 * elementwise(math.log, 2.0 * math.pi * x) + log_factor
+
+
+def _i0_series(x):
     # sum_k (x/2)^{2k} / (k!)^2, terms added until they stop contributing
-    q, term, total = 0.25 * x * x, 1.0, 1.0
-    for k in range(1, 200):
-        term *= q / (k * k)
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total
+    return _sum_terms(0.25 * x * x, asymptotic=False)
 
 
-def _i0_asymptotic_factor(x: float) -> float:
+def _i0_asymptotic_factor(x):
     # I0(x) = e^x / sqrt(2 pi x) * f(x); f as the alternating-free series
     # with c_k = prod_{j<=k} (2j-1)^2 / (8^k k!), truncated at its smallest term.
-    term = total = 1.0
-    for k in range(1, 40):
-        new = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        if k > 2 and new >= term:
-            break
-        term = new
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total
+    return _sum_terms(x, asymptotic=True)
 
 
-def _sum_terms(x: np.ndarray, asymptotic: bool) -> np.ndarray:
-    """The sum of _i0_series (x here is (argument/2)^2) or, if asymptotic, of
-    _i0_asymptotic_factor at each element of a 1-D array x, by the same
-    operations in the same order: a stopped element adds zeros from then on,
-    so each element ends with the bits of its float sum."""
-    term = total = np.ones(len(x))
+def _sum_terms(x, asymptotic: bool):
+    """1 + t_1 + t_2 + ... at a float x or at each element of a 1-D array x,
+    with t_k = t_{k-1} x / k^2 (the power series, x = (argument/2)^2) or, if
+    asymptotic, t_k = t_{k-1} (2k-1)^2 / (8 k x).  A term below 1e-18 of the
+    total is the last one added, and an asymptotic sum also stops before the
+    first term, from k = 3 on, that is no smaller than the one before it (its
+    divergent tail).  A stopped element adds zeros from then on, so each
+    element ends with the bits of its one-point sum."""
+    scalar = not isinstance(x, np.ndarray)
+    term = total = 1.0 if scalar else np.ones(len(x))
     for k in range(1, 40 if asymptotic else 200):
         if asymptotic:
             new = term * (2 * k - 1) ** 2 / (8.0 * k * x)
@@ -98,7 +91,7 @@ def _sum_terms(x: np.ndarray, asymptotic: bool) -> np.ndarray:
             new = term * (x / (k * k))
         total = total + new
         term = new * (new >= 1e-18 * total)
-        if not term.any():
+        if not (term if scalar else term.any()):
             break
     return total
 
