@@ -12,11 +12,10 @@ determinant diverges with the slice count, so a matched normalization pinned
 to the known interior wave-function asymptotics is provided alongside the raw
 one.
 
-`wigner_saddle` evaluates an array of points with the bits of one-point calls:
-its arithmetic runs in numpy in the one-point operation order, and acos,
-acosh, cos, exp, log and the quarter power are math's, applied per element by
-`special.elementwise`, since numpy's differ from libm's in the last bit at a
-few percent of doubles.
+`wigner_saddle` has one array path, a scalar alpha being a one-point array:
+its arithmetic is numpy's, but acos, acosh, cos, exp, log and the quarter
+power are math's, applied per element by `special.elementwise`, since
+numpy's differ from libm's in the last bit at a few percent of doubles.
 """
 
 from __future__ import annotations
@@ -102,10 +101,8 @@ def singular_zone(s, r: float):
     "origin" in the core s < ORIGIN_TOL r, or "" outside both.  s is a float,
     giving a str, or a 1-D array of radii, giving a str array."""
     turning = abs(s / r - 1.0) < TURNING_TOL
-    origin = s < ORIGIN_TOL * r
-    if not isinstance(s, np.ndarray):
-        return "turning" if turning else "origin" if origin else ""
-    return np.where(turning, "turning", np.where(origin, "origin", ""))
+    zones = np.where(turning, "turning", np.where(s < ORIGIN_TOL * r, "origin", ""))
+    return zones if zones.ndim else zones.item()
 
 
 def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
@@ -266,8 +263,7 @@ def wigner_saddle(
     normalization is 1/[(2 pi)^{L/2} L^{1/2} Z_L]; note it grows without bound
     as L increases, so large-L raw values can overflow.  "wkb-matched"
     rescales by one global constant so the interior amplitude agrees with the
-    wave-function asymptotics.  An array call gives each point its one-point
-    value, bit for bit.
+    wave-function asymptotics.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -277,14 +273,9 @@ def wigner_saddle(
     r2 = n + 0.5
     r = math.sqrt(r2)
     log_norm = -_log_raw_constant(n, L) if normalization == "raw" else math.log(_WKB_AMPLITUDE)
-    # one point runs on floats, an array of them on arrays
-    s = _radii(alpha, points, scalar)
-    if scalar:
-        zones = [singular_zone(s, r)]
-        bad = [0] if zones[0] else []
-    else:
-        zones = singular_zone(s, r)
-        bad = np.flatnonzero(zones != "")
+    s = _radii(alpha)
+    zones = singular_zone(s, r)
+    bad = np.flatnonzero(zones != "")
     if len(bad):
         z, zone = points[bad[0]], str(zones[bad[0]])
         raise RegionError(
@@ -296,21 +287,17 @@ def wigner_saddle(
     # W = factor exp(exponent): cos(phase) exp(log_amp) inside the circle and
     # 0.5 exp(decay + log_amp) outside
     inside = s < r
-    if scalar:
-        factor = math.cos(interior_phase(s, n)) if inside else 0.5
-        exponent = log_amp if inside else _exterior_exponent(s, n) + log_amp
-    else:
-        factor = np.full(len(s), 0.5)
-        factor[inside] = elementwise(math.cos, interior_phase(s[inside], n))
-        exponent = log_amp.copy()
-        exponent[~inside] = _exterior_exponent(s[~inside], n) + log_amp[~inside]
+    factor = np.full(len(s), 0.5)
+    factor[inside] = elementwise(math.cos, interior_phase(s[inside], n))
+    exponent = log_amp.copy()
+    exponent[~inside] = _exterior_exponent(s[~inside], n) + log_amp[~inside]
     try:
         values = factor * elementwise(math.exp, exponent)
     except OverflowError:
         # name the first point, in input order, whose amplitude overflows
-        k = int(np.argmax(np.ravel(exponent) > math.log(sys.float_info.max)))
+        k = int(np.argmax(exponent > math.log(sys.float_info.max)))
         raise OverflowError(
-            f"raw-normalized saddle amplitude exp({np.ravel(log_amp)[k]:.1f}) exceeds double "
+            f"raw-normalized saddle amplitude exp({log_amp[k]:.1f}) exceeds double "
             f"range at L={L}; use normalization='wkb-matched' or a smaller L"
         ) from None
     return _finite(values, points, scalar, "saddle")

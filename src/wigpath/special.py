@@ -3,6 +3,9 @@ and log-factorials.
 
 Only the pieces the closed-form Wigner expressions need are provided; no
 generalized Laguerre orders and no Bessel orders other than zero.
+
+ln I0 has one array path, a number being a one-point array: each series is
+summed by numpy over all points at once, each stopping where its own sum does.
 """
 
 from __future__ import annotations
@@ -21,25 +24,20 @@ _LOGFACT_CAP = 1_000_000
 _logfact_table = np.zeros(1)
 
 
-def elementwise(f, x):
-    """The math-module function f at a float x, or at each element of a 1-D
-    array x.  numpy's exp, log, arccos and power differ from libm in the last
-    bit at a few percent of doubles, so arithmetic that must keep a one-point
-    call's bits applies math's functions element by element."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(f, x.tolist()), float, len(x))
-    return f(x)
+def elementwise(f, x) -> np.ndarray:
+    """The math-module function f at each element of x, a float array of x's
+    shape.  numpy's exp, log, arccos and power differ from libm in the last
+    bit at a few percent of doubles, so arithmetic that must keep libm's bits
+    applies math's functions element by element."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def log_bessel_i0(x):
-    """ln I0(x) at a float x >= 0, giving a float, or at each element of an
-    array of them, giving an array of its shape; stable for x up to at least
-    1e4.  A negative or non-finite element raises ValueError naming the first."""
-    if isinstance(x, (int, float)):
-        x = float(x)
-        if not (x >= 0.0 and math.isfinite(x)):
-            raise ValueError(f"I0 is only evaluated for finite x >= 0, got {x!r}")
-        return _log_i0(x, x < _I0_SWITCH)
+    """ln I0(x) at a number x >= 0, giving a float, or at each element of an
+    array of them, giving a float array of its shape; stable for x up to at
+    least 1e4.  A negative or non-finite element raises ValueError naming the
+    first."""
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     bad = np.flatnonzero(~((flat >= 0.0) & np.isfinite(flat)))
@@ -49,39 +47,38 @@ def log_bessel_i0(x):
     series = flat < _I0_SWITCH
     out[series] = _log_i0(flat[series], True)
     out[~series] = _log_i0(flat[~series], False)
-    return out.reshape(xs.shape)
+    return out.item() if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def _log_i0(x, series: bool):
-    """ln I0 at a float x or at each element of an array x, all of them below
-    the switch (by the power series) or all at or above it."""
+def _log_i0(x: np.ndarray, series: bool) -> np.ndarray:
+    """ln I0 at each element of a 1-D array x, all of them below the switch
+    (by the power series) or all at or above it."""
     if series:
         return elementwise(math.log, _i0_series(x))
     log_factor = elementwise(math.log, _i0_asymptotic_factor(x))
     return x - 0.5 * elementwise(math.log, 2.0 * math.pi * x) + log_factor
 
 
-def _i0_series(x):
+def _i0_series(x: np.ndarray) -> np.ndarray:
     # sum_k (x/2)^{2k} / (k!)^2, terms added until they stop contributing
     return _sum_terms(0.25 * x * x, asymptotic=False)
 
 
-def _i0_asymptotic_factor(x):
+def _i0_asymptotic_factor(x: np.ndarray) -> np.ndarray:
     # I0(x) = e^x / sqrt(2 pi x) * f(x); f as the alternating-free series
     # with c_k = prod_{j<=k} (2j-1)^2 / (8^k k!), truncated at its smallest term.
     return _sum_terms(x, asymptotic=True)
 
 
-def _sum_terms(x, asymptotic: bool):
-    """1 + t_1 + t_2 + ... at a float x or at each element of a 1-D array x,
-    with t_k = t_{k-1} x / k^2 (the power series, x = (argument/2)^2) or, if
+def _sum_terms(x: np.ndarray, asymptotic: bool) -> np.ndarray:
+    """1 + t_1 + t_2 + ... at each element of a 1-D array x, with
+    t_k = t_{k-1} x / k^2 (the power series, x = (argument/2)^2) or, if
     asymptotic, t_k = t_{k-1} (2k-1)^2 / (8 k x).  A term below 1e-18 of the
     total is the last one added, and an asymptotic sum also stops before the
     first term, from k = 3 on, that is no smaller than the one before it (its
     divergent tail).  A stopped element adds zeros from then on, so each
     element ends with the bits of its one-point sum."""
-    scalar = not isinstance(x, np.ndarray)
-    term = total = 1.0 if scalar else np.ones(len(x))
+    term = total = np.ones(len(x))
     for k in range(1, 40 if asymptotic else 200):
         if asymptotic:
             new = term * (2 * k - 1) ** 2 / (8.0 * k * x)
@@ -91,7 +88,7 @@ def _sum_terms(x, asymptotic: bool):
             new = term * (x / (k * k))
         total = total + new
         term = new * (new >= 1e-18 * total)
-        if not (term if scalar else term.any()):
+        if not term.any():
             break
     return total
 

@@ -7,11 +7,11 @@ weight arithmetic happens in log space; (N^n/n!)^L overflows doubles already
 at modest L.
 
 The closed-form Wigner functions take a complex scalar alpha, giving a float,
-or a 1-D array of points, giving a float array.  Every array value has the
-bits of a one-point call: the arithmetic runs in numpy in the one-point
-operation order (numpy's + - * /, sqrt and hypot match Python's floats), and
-exp and log are math's, applied per element by `special.elementwise`, since
-numpy's differ from libm's in the last bit at a few percent of doubles.
+or a 1-D array of points, giving a float array.  Both run one array path: a
+scalar is a one-point array whose value becomes a float at the end.  The
+arithmetic is numpy's (its + - * /, sqrt and hypot match Python's floats),
+but exp and log are math's, applied per element by `special.elementwise`,
+since numpy's differ from libm's in the last bit at a few percent of doubles.
 """
 
 from __future__ import annotations
@@ -157,46 +157,43 @@ def _points(alpha) -> tuple[list[complex], bool]:
     return points.reshape(-1).tolist(), points.ndim == 0
 
 
-def _radii(alpha, points: list[complex], scalar: bool) -> float | np.ndarray:
-    """|alpha| at the points of a route call: a float for a scalar call, else
-    an array.  np.hypot gives the bits of abs(complex); np.abs does not."""
-    if scalar:
-        return abs(points[0])
-    z = np.asarray(alpha, dtype=complex)
+def _radii(alpha) -> np.ndarray:
+    """|alpha| at the points of a route call, as a 1-D array.  np.hypot gives
+    the bits of abs(complex); np.abs does not."""
+    z = np.asarray(alpha, dtype=complex).reshape(-1)
     return np.hypot(z.real, z.imag)
 
 
 def _finite(values, points: list[complex], scalar: bool, what: str) -> float | np.ndarray:
-    """The values of a closed-form or saddle call, a float for a scalar call
-    and else an array over the points, after one finiteness pass: the first
-    nan or inf, as of an overflowed sum, raises, naming its point."""
-    if scalar:
-        bad = [] if math.isfinite(values) else [0]
-    else:
-        bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        k = bad[0]
-        value = float(np.ravel(values)[k])
+    """The values of a closed-form or saddle call over its points, after one
+    finiteness pass (the first nan or inf, as of an overflowed sum, raises,
+    naming its point): the one value as a float for a scalar call, else the
+    array."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))  # the first non-finite value
+        value = values[k].item()
         raise FloatingPointError(f"non-finite {what} Wigner value {value!r} at alpha = {points[k]:.6g}")
-    return values
+    return values.item() if scalar else values
 
 
 def _laguerre_form(alpha, n_max: int, levels, c: float, what: str) -> float | np.ndarray:
     """c exp(-2|alpha|^2) levels(L_0..L_nmax(4|alpha|^2)) at each point, where
     `levels` reduces a block's (n_max+1, points) Laguerre values per point.
     A block of one point recurs on a float, giving shape (n_max+1,): numpy
-    scalars are several times faster than one-element arrays."""
+    scalars are several times faster than one-element arrays, and the
+    benchmark's output check makes thousands of one-point spectral calls.
+    The block can go once those calls are array calls."""
     points, scalar = _points(alpha)
     # Python's ** is C pow; NumPy's square differs from it in the last bit at
     # about 0.1% of points, which would move output bits
-    s2 = [z.real**2 + z.imag**2 for z in points]
+    s2 = np.array([z.real**2 + z.imag**2 for z in points])
     per_block = max(1, _LAGUERRE_BLOCK_ENTRIES // (n_max + 1))
     reduced = np.empty(len(s2))
     for lo in range(0, len(s2), per_block):
-        hi = min(lo + per_block, len(s2))
-        x = 4.0 * np.array(s2[lo:hi]) if hi - lo > 1 else 4.0 * s2[lo]
-        reduced[lo:hi] = levels(laguerre_all(n_max, x))
-    s2, reduced = (s2[0], reduced.item()) if scalar else (np.array(s2), reduced)
+        x = s2[lo : lo + per_block]
+        x = 4.0 * (x if len(x) > 1 else x.item())
+        reduced[lo : lo + per_block] = levels(laguerre_all(n_max, x))
     return _finite(c * elementwise(math.exp, -2.0 * s2) * reduced, points, scalar, what)
 
 
@@ -205,7 +202,7 @@ def wigner_poisson(alpha, N: float) -> float | np.ndarray:
     if not 0 < N < math.inf:
         raise ValueError(f"N must be positive and finite, got {N}")
     points, scalar = _points(alpha)
-    s = _radii(alpha, points, scalar)
+    s = _radii(alpha)
     exponent = -2.0 * s * s - 2.0 * N + log_bessel_i0(4.0 * math.sqrt(N) * s)
     return _finite(_WIGNER_BOUND * elementwise(math.exp, exponent), points, scalar, "Poisson")
 
@@ -225,8 +222,8 @@ def wigner_spectral(alpha, params: FamilyParams) -> float | np.ndarray:
     this is the ground-truth oracle the path-integral evaluations are tested
     against.
     """
-    n = np.arange(params.n_max + 1)
-    signed_weights = params.weight_array * np.where(n % 2 == 0, 1.0, -1.0)
+    signed_weights = params.weight_array.copy()
+    signed_weights[1::2] *= -1.0
     # each point sums its levels along a contiguous row, in the order of a
     # one-point sum; a transposed view would reorder the reduction
     return _laguerre_form(

@@ -40,7 +40,7 @@ def _report(num: int, label: str, ok: bool, detail: str = ""):
 
 def crossings_of(fn, lo: float, hi: float, points: int = 4001):
     rs = np.linspace(lo, hi, points)
-    vals = np.array([fn(r) for r in rs])
+    vals = fn(rs)
     found = []
     for i in range(points - 1):
         if vals[i] == 0.0:
@@ -118,13 +118,13 @@ def test_criterion_04_figure_reproduction():
     # zero crossings of the matched saddle curve against the exact ones
     r10 = math.sqrt(10.5)
     window = (0.8, r10 - 0.3)
-    exact10 = crossings_of(lambda s: wigner_number(complex(s), 10), *window)
-    saddle10 = crossings_of(lambda s: wigner_saddle(complex(s), 10), *window)
+    exact10 = crossings_of(lambda rs: wigner_number(rs, 10), *window)
+    saddle10 = crossings_of(lambda rs: wigner_saddle(rs, 10), *window)
     deltas10 = [float(np.min(np.abs(saddle10 - e))) for e in exact10]
 
     r1 = math.sqrt(1.5)
-    exact1 = crossings_of(lambda s: wigner_number(complex(s), 1), 0.1, r1 - 0.1)
-    saddle1 = crossings_of(lambda s: wigner_saddle(complex(s), 1), 0.1, r1 - 0.1)
+    exact1 = crossings_of(lambda rs: wigner_number(rs, 1), 0.1, r1 - 0.1)
+    saddle1 = crossings_of(lambda rs: wigner_saddle(rs, 1), 0.1, r1 - 0.1)
     ok_n1 = len(exact1) == 1 and len(saddle1) == 1 and abs(saddle1[0] - exact1[0]) <= 0.05
 
     ratios = np.array(

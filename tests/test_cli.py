@@ -17,8 +17,8 @@ from wigpath import cli
 from wigpath.checks import sign_rows
 from wigpath.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from wigpath.integrate import MonteCarloSpec, RealnessError, wigner_montecarlo
-from wigpath.saddle import RegionError, solve_saddle
-from wigpath.states import FamilyParams
+from wigpath.saddle import RegionError, solve_saddle, wigner_saddle
+from wigpath.states import FamilyParams, wigner_number, wigner_poisson
 
 
 def read_csv(path):
@@ -438,24 +438,64 @@ def test_quadrature_profile_bytes_independent_of_blas_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def saddle_panel_rows(n, rs):
+    # the documented saddle panel, radius by radius: a singular-zone radius is
+    # filled linearly from its nearest valid neighbours, or takes the value of
+    # the only one at an end of the grid
+    vals, regions = [], []
+    for r in rs:
+        try:
+            vals.append(wigner_saddle(complex(r), n))
+            regions.append("")
+        except RegionError as exc:
+            vals.append(None)
+            regions.append(exc.region)
+    good = [i for i, v in enumerate(vals) if v is not None]
+    for i in [i for i, v in enumerate(vals) if v is None]:
+        left = max((g for g in good if g < i), default=None)
+        right = min((g for g in good if g > i), default=None)
+        if left is None or right is None:
+            vals[i] = vals[right if left is None else left]
+        else:
+            w = (rs[i] - rs[left]) / (rs[right] - rs[left])
+            vals[i] = (1.0 - w) * vals[left] + w * vals[right]
+        regions[i] = f"interpolated:{regions[i]}"
+    return [[cell(r), cell(v), "saddle", "", region] for r, v, region in zip(rs, vals, regions)]
+
+
 def test_figure2_bundle(tmp_path):
-    code = main(["figure2", "--n", "1", "--points", "101", "--out-dir", str(tmp_path)])
-    assert code == EXIT_OK
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    panel = manifest["panels"][0]
-    assert panel["n"] == 1
-    assert set(panel["files"]) == {"exact", "saddle", "poisson"}
-    # the manifest digest is the standard SHA-256 of the sorted config JSON
-    digest = hashlib.sha256(json.dumps(panel["config"], sort_keys=True).encode()).hexdigest()
-    assert panel["config_sha256"] == digest
-    for name in panel["files"].values():
-        assert (tmp_path / name).exists()
-    _, rows = read_csv(tmp_path / panel["files"]["saddle"])
-    regions = {row[4] for row in rows}
-    assert any(r.startswith("interpolated:") for r in regions)
-    assert all(row[1] != "" for row in rows)  # gaps filled for plotting
-    _, prows = read_csv(tmp_path / panel["files"]["poisson"])
-    assert all(float(row[1]) >= 0.0 for row in prows)
+    # per format, two runs: every panel has the same bytes in both, and the
+    # bytes of its rows from one-point calls
+    levels, header, rows = (1, 10), ["r", "W", "method", "stderr", "region"], {}
+    for n in levels:
+        rs = np.linspace(0.0, math.sqrt(n + 0.5) + 2.0, 401).tolist()
+        rows[n] = {
+            "exact": [[cell(r), cell(wigner_number(complex(r), n)), "exact", "", ""] for r in rs],
+            "saddle": saddle_panel_rows(n, rs),
+            "poisson": [
+                [cell(r), cell(wigner_poisson(complex(r), n + 0.5)), "exact", "", ""] for r in rs
+            ],
+        }
+        assert any(row[4].startswith("interpolated:") for row in rows[n]["saddle"])
+        assert all(float(row[1]) >= 0.0 for row in rows[n]["poisson"])
+    for fmt in ("csv", "json"):
+        argv = ["figure2", "--n", *map(str, levels), "--points", "401", "--format", fmt]
+        runs = [tmp_path / f"{fmt}_run{k}" for k in (1, 2)]
+        for run in runs:
+            assert main([*argv, "--out-dir", str(run)]) == EXIT_OK
+        text = (runs[0] / "manifest.json").read_text()
+        assert (runs[1] / "manifest.json").read_text() == text
+        panels = json.loads(text)["panels"]
+        assert [panel["n"] for panel in panels] == list(levels)
+        for panel in panels:
+            assert set(panel["files"]) == {"exact", "saddle", "poisson"}
+            # the manifest digest is the standard SHA-256 of the sorted config JSON
+            config = json.dumps(panel["config"], sort_keys=True).encode()
+            assert panel["config_sha256"] == hashlib.sha256(config).hexdigest()
+            for label, name in panel["files"].items():
+                text = (runs[0] / name).read_text()
+                assert (runs[1] / name).read_text() == text
+                assert text == table_text(header, rows[panel["n"]][label], fmt)
 
 
 def test_figure2_manifest_is_the_same_through_hashlib(tmp_path, monkeypatch):
@@ -608,7 +648,7 @@ def saddle_table_rows(n, L, grid):
     [
         # s_min = sqrt(10.5) - 2 and the default s_max = sqrt(10.5) + 2: the middle
         # radius lies on the circle, in the turning zone
-        (10, 8, 1.2403703492039302, 9),
+        (10, 8, 1.2403703492039302, 301),
         (3, 2, 0.05, 57),  # L = 2 has no Hessian log-determinant
     ],
     ids=["zone", "L2"],
@@ -732,12 +772,12 @@ def test_mc_diag_reports_a_collapsed_member_instead_of_failing(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_mc_diag_bytes_equal_per_member_rows(tmp_path, fmt):
-    # members L = 5, 6 collapse (effective sample size below 5): empty cells
+    # members L = 5, 6, 7 collapse (effective sample size below 5): empty cells
     out = tmp_path / f"diag.{fmt}"
-    argv = ["mc-diag", "--N", "30.5", "--alpha", "2", "--L-min", "3", "--L-max", "6",
+    argv = ["mc-diag", "--N", "30.5", "--alpha", "2", "--L-min", "1", "--L-max", "7",
             "--samples", "20000", "--seed", "0", "--format", fmt, "--out", str(out)]
     assert main(argv) == EXIT_OK
-    members = [FamilyParams(L, 30.5) for L in range(3, 7)]
+    members = [FamilyParams(L, 30.5) for L in range(1, 8)]
     rows = [[cell(x) for x in row.values()]
             for row in sign_rows(members, 2 + 0j, MonteCarloSpec(20000, seed=0))]
     assert rows[0][1] != "" and rows[-1][1] == ""  # a solved and a collapsed member

@@ -397,6 +397,7 @@ def test_singular_zone_array_equals_scalar_calls():
     radii = np.linspace(0.0, 4.0, 2001)
     zones = singular_zone(radii, r)
     assert zones.tolist() == [singular_zone(s, r) for s in radii.tolist()]
+    assert {type(singular_zone(s, r)) for s in (0.0, r, 2.0)} == {str}
     assert {"turning", "origin", ""} <= set(zones.tolist())
 
 

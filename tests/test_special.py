@@ -17,6 +17,8 @@ from wigpath.special import (
 )
 from wigpath.states import FamilyParams
 
+from oracles import log_bessel_i0_reference
+
 
 def bessel_i0(x: float) -> float:
     # I0 itself, which overflows for x >~ 709 where its log does not
@@ -40,31 +42,6 @@ def laguerre_sum_oracle(n: int, x: float) -> float:
     return float(total)
 
 
-def log_bessel_i0_reference(x: float) -> float:
-    """The one-point ln I0 of earlier versions, kept as a bit-for-bit oracle:
-    a power series below 20 and the asymptotic expansion above, each summed
-    term by term in a Python loop."""
-    if x < 20.0:
-        q = 0.25 * x * x
-        term = total = 1.0
-        for k in range(1, 200):
-            term *= q / (k * k)
-            total += term
-            if term < 1e-18 * total:
-                break
-        return math.log(total)
-    term = total = 1.0
-    for k in range(1, 40):
-        new = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        if new >= term and k > 2:
-            break  # divergent tail reached
-        term = new
-        total += term
-        if term < 1e-18 * total:
-            break
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
-
-
 def test_log_bessel_i0_array_equals_scalar_reference():
     xs = np.concatenate(
         [
@@ -80,6 +57,10 @@ def test_log_bessel_i0_array_equals_scalar_reference():
     assert got.tolist() == [log_bessel_i0_reference(x) for x in xs.tolist()]
     assert [log_bessel_i0(x) for x in xs[::97].tolist()] == got[::97].tolist()
     assert log_bessel_i0(xs.reshape(3, -1)).tolist() == got.reshape(3, -1).tolist()
+    # every 0-d input, Python or numpy, gives a Python float of the same value
+    for x in (2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0), np.array(2.0)):
+        value = log_bessel_i0(x)
+        assert type(value) is float and value == log_bessel_i0_reference(2.0)
 
 
 def test_i0_at_zero():
@@ -118,9 +99,9 @@ def test_i0_names_the_first_bad_argument(bad):
 
 def test_i0_switchover_continuity():
     # series and asymptotic branches agree at the crossover to 1e-12
-    x = 20.0
-    log_series = math.log(_i0_series(x))
-    log_asym = x - 0.5 * math.log(2 * math.pi * x) + math.log(_i0_asymptotic_factor(x))
+    x = np.array([20.0])
+    log_series = math.log(_i0_series(x)[0])
+    log_asym = 20.0 - 0.5 * math.log(2 * math.pi * 20.0) + math.log(_i0_asymptotic_factor(x)[0])
     assert log_series == pytest.approx(log_asym, abs=1e-12)
 
 

@@ -11,7 +11,7 @@ import pytest
 from wigpath import states
 from wigpath.checks import radial_normalization
 from wigpath.saddle import wigner_saddle
-from wigpath.special import log_bessel_i0, log_factorial
+from wigpath.special import log_factorial
 from wigpath.states import (
     FamilyParams,
     QuadratureConvergenceError,
@@ -22,6 +22,8 @@ from wigpath.states import (
     wigner_poisson,
     wigner_spectral,
 )
+
+from oracles import log_bessel_i0_reference
 
 LN_I0_2 = 0.8239935414829563  # 60-term series for ln I0(2), frozen
 W_REF_L3_N15_S08 = 0.14815519878740827  # 200-term spectral sum, frozen
@@ -322,11 +324,11 @@ def test_closed_form_array_call_equals_scalar_calls(route, arg):
 
 def wigner_poisson_reference(alpha: complex, N: float) -> float:
     """The one-point Poisson closed form of earlier versions, kept as a
-    bit-for-bit oracle: math-module arithmetic on |alpha| and a one-point ln I0
-    (itself held to its scalar reference in test_special)."""
+    bit-for-bit oracle: math-module arithmetic on |alpha| and the
+    pure-Python ln I0 reference."""
     s = abs(alpha)
     c = 4.0 * math.sqrt(N)
-    return (2.0 / math.pi) * math.exp(-2.0 * s * s - 2.0 * N + log_bessel_i0(c * s))
+    return (2.0 / math.pi) * math.exp(-2.0 * s * s - 2.0 * N + log_bessel_i0_reference(c * s))
 
 
 @pytest.mark.parametrize("N", [1.5, 10.5, 100.5])
@@ -338,6 +340,54 @@ def test_wigner_poisson_array_equals_scalar_reference(N):
     assert wigner_poisson(points, N).tolist() == [
         wigner_poisson_reference(z, N) for z in points.tolist()
     ]
+
+
+def laguerre_reference(n_max: int, x: float) -> list[float]:
+    """L_0(x) .. L_nmax(x) by the forward three-term recurrence of
+    laguerre_all, on Python floats."""
+    lag = [1.0, 1.0 - x][: n_max + 1]
+    for k in range(1, n_max):
+        lag.append(((2 * k + 1 - x) * lag[k] - k * lag[k - 1]) / (k + 1))
+    return lag
+
+
+def wigner_number_reference(alpha: complex, n: int) -> float:
+    """The number-state closed form at one point, kept as a bit-for-bit
+    oracle: the Laguerre recurrence and math.exp on Python floats."""
+    s2 = alpha.real**2 + alpha.imag**2
+    c = (2.0 / math.pi) * (-1.0 if n % 2 else 1.0)
+    return c * math.exp(-2.0 * s2) * laguerre_reference(n, 4.0 * s2)[n]
+
+
+def wigner_spectral_reference(alpha: complex, params: FamilyParams) -> float:
+    """The spectral mixture at one point, kept as a bit-for-bit oracle: each
+    level's signed weight times its Laguerre value on Python floats, the
+    levels added by numpy's sum over one row (the order every point of the
+    library's sum follows), and math.exp."""
+    s2 = alpha.real**2 + alpha.imag**2
+    lag = laguerre_reference(params.n_max, 4.0 * s2)
+    weights = params.weight_array.tolist()
+    terms = [(w if k % 2 == 0 else -w) * lk for k, (w, lk) in enumerate(zip(weights, lag))]
+    return (2.0 / math.pi) * math.exp(-2.0 * s2) * float(np.sum(terms))
+
+
+@pytest.mark.parametrize(
+    "route, reference, arg",
+    [
+        (wigner_number, wigner_number_reference, 100),
+        (wigner_spectral, wigner_spectral_reference, FamilyParams(2, 50.5)),
+    ],
+    ids=["number", "spectral"],
+)
+def test_laguerre_forms_equal_scalar_reference(route, reference, arg):
+    levels = 1 + (arg if route is wigner_number else arg.n_max)
+    per_block = states._LAGUERRE_BLOCK_ENTRIES // levels
+    # two full blocks of the recurrence and a last block of one point, which
+    # recurs on a float
+    size = 2 * per_block + 1
+    rng = np.random.default_rng(11)
+    points = np.linspace(0.0, 10.0, size) * np.exp(2j * math.pi * rng.random(size))
+    assert route(points, arg).tolist() == [reference(z, arg) for z in points.tolist()]
 
 
 @pytest.mark.parametrize(
