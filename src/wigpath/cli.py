@@ -264,6 +264,8 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     with _input_stage():
         if any(n < 1 for n in n_values):
             raise ConfigError("figure2 needs n >= 1")
+        if len(set(n_values)) < len(n_values):
+            raise ConfigError("figure2 needs distinct levels --n")
         if L < 1:
             raise ConfigError("figure2 needs --L >= 1")
         grids = [np.linspace(0.0, math.sqrt(n + 0.5) + 2.0, points) for n in n_values]

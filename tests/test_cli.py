@@ -356,33 +356,47 @@ DEFERRED_MODULES = [
 ]
 
 
+def run_python(source, *args, **env):
+    """The stdout of `python -c source *args` in a fresh interpreter that
+    imports this wigpath; a keyword sets an environment variable, or with
+    None unsets it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    child = {**os.environ}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), child.get("PYTHONPATH")]))
+    for key, value in env.items():
+        if value is None:
+            child.pop(key, None)
+        else:
+            child[key] = value
+    done = subprocess.run(
+        [sys.executable, "-c", source, *args], env=child, check=True, capture_output=True,
+        text=True, timeout=120,
+    )
+    return done.stdout
+
+
 @pytest.fixture(scope="module")
 def loaded_modules(tmp_path_factory):
     """The modules a fresh interpreter holds after `import wigpath, wigpath.cli`,
-    and after it then runs an L = 2, M = 32 quadrature profile, a spectral
-    profile, figure2 and the oracle, normalization and determinant check
-    suites through cli.main."""
+    and after it then runs an L = 2, M = 64 quadrature profile, a spectral
+    profile, a saddle table, figure2 and the oracle, normalization and
+    determinant check suites through cli.main."""
     out = tmp_path_factory.mktemp("deferred")
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     probe = f"""
 import json, sys, wigpath, wigpath.cli
 imported = sorted(sys.modules)
-argv = ["profile", "--state", "family", "--L", "2", "--N", "1.5", "--rmax", "3"]
-quadrature = ["--method", "quadrature", "--M", "32", "--out", {str(out / "q.csv")!r}]
+argv = ["profile", "--state", "family", "--L", "2", "--N", "10.5"]
+quadrature = ["--method", "quadrature", "--M", "64", "--out", {str(out / "q.csv")!r}]
 assert wigpath.cli.main([*argv, *quadrature]) == 0
 assert wigpath.cli.main([*argv, "--method", "spectral", "--out", {str(out / "s.csv")!r}]) == 0
-assert wigpath.cli.main(["figure2", "--n", "1", "--points", "101", "--out-dir", {str(out)!r}]) == 0
+saddle = ["saddle-table", "--n", "10", "--L", "8", "--out", {str(out / "t.csv")!r}]
+assert wigpath.cli.main(saddle) == 0
+assert wigpath.cli.main(["figure2", "--points", "101", "--out-dir", {str(out)!r}]) == 0
 for suite in ("oracle", "normalization", "determinant"):
     assert wigpath.cli.main(["check", suite]) == 0
 print(json.dumps([imported, sorted(sys.modules)]))
 """
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True,
-        timeout=120,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
+    return json.loads(run_python(probe).splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -404,9 +418,6 @@ def test_mc_profile_reuses_freed_memory(tmp_path):
     # every batch of the run computes in one buffer pair, so the block memory
     # is faulted in once: about 400 minor page faults, where temporaries
     # freed to the OS and allocated again by every batch took about 1.8e4
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     probe = (
         "import resource, sys; from wigpath import cli; "
         "f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
@@ -414,28 +425,69 @@ def test_mc_profile_reuses_freed_memory(tmp_path):
         "'--samples', '20000', '--points', '100', '--out', sys.argv[1]]); "
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f)"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path / "mc.csv")], env=env, check=True,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert int(done.stdout.split()[-1]) < 5000
+    assert int(run_python(probe, str(tmp_path / "mc.csv")).split()[-1]) < 5000
+
+
+# writes the 400-point family quadrature profile of each (L, N, M, rmax) in
+# the JSON list argv[2] to argv[1]/L<L>_M<M>.csv through cli.main, all in one
+# process
+QUADRATURE_PROFILES = """
+import json, sys
+from wigpath import cli
+out, profiles = sys.argv[1], json.loads(sys.argv[2])
+for L, N, M, rmax in profiles:
+    argv = ["profile", "--state", "family", "--L", str(L), "--N", str(N),
+            "--method", "quadrature", "--M", str(M), "--rmax", str(rmax),
+            "--points", "400", "--out", f"{out}/L{L}_M{M}.csv"]
+    assert cli.main(argv) == 0
+"""
 
 
 def test_quadrature_profile_bytes_independent_of_blas_threads(tmp_path):
-    src = Path(cli.__file__).resolve().parents[1]
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"q{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-m", "wigpath", "profile", "--state", "family", "--L", "3",
-             "--N", "4.5", "--method", "quadrature", "--M", "256", "--rmax", "8",
-             "--points", "400", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # the kernel is its length-M circulant column, and each block of points
+    # multiplies column blocks copied out of it.  Two runs with the BLAS
+    # default and runs on one and two BLAS threads write the same bytes, at
+    # L = 2 and at L = 3, where the column is a convolution of link factors
+    profiles = [(3, 4.5, 256, 8), (2, 50.5, 512, 9), (3, 10.5, 256, 5)]
+    runs = {"default1": None, "default2": None, "threads1": "1", "threads2": "2"}
+    for name, threads in runs.items():
+        (tmp_path / name).mkdir()
+        run_python(QUADRATURE_PROFILES, str(tmp_path / name), json.dumps(profiles),
+                   OPENBLAS_NUM_THREADS=threads)
+    for L, _, M, _ in profiles:
+        first, *others = [(tmp_path / name / f"L{L}_M{M}.csv").read_bytes() for name in runs]
+        assert len(first.splitlines()) == 401
+        assert all(other == first for other in others)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_large_m_quadrature_profiles_hold_no_kernel_sized_array(tmp_path):
+    # a 2048 x 2048 complex kernel alone is 64 MB; both profiles run in one
+    # process, whose peak resident set stays under that.  The process reads
+    # its own high-water mark (VmHWM): its ru_maxrss would also count the
+    # resident set of this test process, which starts it
+    profiles = [(2, 50.5, 2048, 9), (3, 10.5, 1024, 5)]
+    probe = QUADRATURE_PROFILES + (
+        "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
+    )
+    printed = run_python(probe, str(tmp_path), json.dumps(profiles))
+    peak_kb, unit = printed.split()[-2:]
+    assert unit == "kB" and int(peak_kb) < 64 * 1024
+
+
+def test_mc_profile_bytes_independent_of_workers_and_batch_split(tmp_path):
+    # 20,000 samples at seed 7: one worker against two, and batches of 7,000
+    # (two full ones and a shorter last one) at one worker against three
+    argv = ["profile", "--state", "family", "--L", "3", "--N", "1.5", "--method", "mc",
+            "--samples", "20000", "--rmax", "3", "--points", "20", "--seed", "7"]
+
+    def run(*options):
+        out = tmp_path / ("mc" + "".join(options) + ".csv")
+        assert main([*argv, *options, "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    assert run("--workers", "1") == run("--workers", "2")
+    assert run("--workers", "1", "--batch", "7000") == run("--workers", "3", "--batch", "7000")
 
 
 def saddle_panel_rows(n, rs):
@@ -525,6 +577,15 @@ def test_figure2_failed_level_writes_nothing(tmp_path, monkeypatch, capsys):
     assert list(out.glob("*")) == []
 
 
+def test_figure2_repeated_level_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a repeated level would write its panels twice and list it twice
+    out = tmp_path / "fig"
+    argv = ["figure2", "--n", "1", "1", "--points", "11", "--out-dir", str(out)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert "distinct levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def scan_interpolate_gaps(rs, vals, regions):
     # oracle: each gap's neighbours by a scan over every valid index
     vals, regions = list(vals), list(regions)
@@ -577,10 +638,11 @@ def test_check_determinant_passes(tmp_path, capsys):
 
 
 def test_check_report_bytes_reproducible(tmp_path):
-    # the report carries no timing; its sidecar records the wall time
+    # the report of every suite, the seeded sign suite included, carries no
+    # timing; its sidecar records the wall time
     first, second = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["check", "determinant", "--out", str(first)]) == EXIT_OK
-    assert main(["check", "determinant", "--out", str(second)]) == EXIT_OK
+    assert main(["check", "all", "--out", str(first)]) == EXIT_OK
+    assert main(["check", "all", "--out", str(second)]) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
 
 
