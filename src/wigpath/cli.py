@@ -173,7 +173,7 @@ _PROFILE_ROUTES = {
 _STATES = tuple(dict.fromkeys(state for state, _ in _PROFILE_ROUTES))
 
 
-def _methods(state: str | None) -> list[str]:
+def _methods(state: str) -> list[str]:
     return [method for route_state, method in _PROFILE_ROUTES if route_state == state]
 
 
@@ -195,9 +195,9 @@ def _profile_table(r_cells: list[str], method: str, columns: tuple, fmt: str) ->
 def cmd_profile(args: argparse.Namespace) -> int:
     started = time.time()
     with _input_stage():
+        if args.state is None:
+            raise ConfigError(f"profile needs --state ({', '.join(_STATES)})")
         methods = _methods(args.state)
-        if not methods:
-            raise ConfigError(f"unknown state {args.state!r}; choose poisson, number or family")
         if args.method not in methods:
             raise ConfigError(f"state {args.state!r} supports --method {', '.join(methods)}")
         evaluate = _PROFILE_ROUTES[args.state, args.method](args, _state_argument(args))

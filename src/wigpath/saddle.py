@@ -112,7 +112,8 @@ def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
     (arccos(s/r) inside, i arccosh(s/r) outside); the limiting branch (L =
     None) returns that seed directly.  The turning annulus |s/r - 1| <
     TURNING_TOL is rejected: both asymptotic forms carry quarter-power
-    singularities there.
+    singularities there.  An exterior Newton solve that ends on the growing
+    arc (Re S < 0) raises SaddleConvergenceError.
     """
     if s < 0 or r <= 0:
         raise ValueError("need s >= 0 and r > 0")
@@ -134,13 +135,9 @@ def solve_saddle(s: float, r: float, L: int | None) -> SaddleSolution:
     theta, _ = _newton(theta_limit, s, r, L)
     action = _action(theta, r, L)
     if branch == "exterior" and action.real < 0.0:
-        # growing branch reached: the decaying arc sits at the mirrored seed
-        theta, _ = _newton(-theta_limit, s, r, L)
-        action = _action(theta, r, L)
-        if action.real < 0.0:
-            raise SaddleConvergenceError(
-                f"no decaying exterior saddle found at s={s}, r={r}, L={L}", [theta]
-            )
+        raise SaddleConvergenceError(
+            f"no decaying exterior saddle found at s={s}, r={r}, L={L}", [theta]
+        )
     return _solution(theta, action, s, r, L, branch)
 
 

@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import elementwise, laguerre_all, log_bessel_i0, log_factorial, log_factorials
-
-# Truncation rule: drop levels whose log weight trails the peak by more than
-# this (tail factor < 1e-20), but never truncate below ceil(4N + 20).
-_TAIL_LOG_DROP = 46.0
+from .special import elementwise, laguerre_all, log_bessel_i0, log_factorials
 
 _WIGNER_BOUND = 2.0 / math.pi
 
@@ -117,30 +113,24 @@ class FamilyParams:
                 "number level",
                 stacklevel=3,  # past the generated __init__, to the caller
             )
-        object.__setattr__(self, "n_max", self._tail_cutoff())
+        # truncation rule: levels 0 .. ceil(4N + 20), past which every level
+        # trails the peak level floor(N) by more than a factor e^-46 (e^-47.9
+        # at worst, near N = 3.25, for L = 1; the gap grows with L)
+        n_max = math.ceil(4.0 * self.N + 20.0)
+        object.__setattr__(self, "n_max", n_max)
         n0 = math.floor(self.N)
-        ell = self._log_weights_unnormalized(self.n_max, n0)
+        log_fact = log_factorials(n_max)
+        log_fact_n0 = float(log_fact[n0])
+        # ln of (N^n/n!)^L relative to level n0.  The differences are formed
+        # before the factor L, so off-peak weights keep their digits at large L.
+        n = np.arange(n_max + 1, dtype=float)
+        ell = self.L * ((n - n0) * math.log(self.N) - (log_fact - log_fact_n0))
         peak = ell.max()
         log_sum = peak + math.log(np.exp(ell - peak).sum())
-        log_peak_level = self.L * (n0 * math.log(self.N) - log_factorial(n0) - self.N)
+        log_peak_level = self.L * (n0 * math.log(self.N) - log_fact_n0 - self.N)
         object.__setattr__(self, "log_z", log_peak_level + log_sum)
         object.__setattr__(self, "weight_array", np.exp(ell - log_sum))
         self.weight_array.setflags(write=False)
-
-    def _tail_cutoff(self) -> int:
-        hard_floor = math.ceil(4.0 * self.N + 20.0)
-        logn = math.log(self.N)
-        peak = self.L * (math.floor(self.N) * logn - log_factorial(math.floor(self.N)))
-        n = hard_floor
-        while self.L * (n * logn - log_factorial(n)) > peak - _TAIL_LOG_DROP:
-            n += 1
-        return n
-
-    def _log_weights_unnormalized(self, n_max: int, n0: int) -> np.ndarray:
-        """ln of (N^n/n!)^L relative to level n0.  The differences are formed
-        before the factor L, so off-peak weights keep their digits at large L."""
-        n = np.arange(n_max + 1, dtype=float)
-        return self.L * ((n - n0) * math.log(self.N) - (log_factorials(n_max) - log_factorial(n0)))
 
     @property
     def radius(self) -> float:

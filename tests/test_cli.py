@@ -154,6 +154,77 @@ def test_profile_number_wkb_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["flags", "config"])
+def test_profile_without_state_exits_2(tmp_path, monkeypatch, capsys, from_file):
+    monkeypatch.setenv("WIGPATH_OUTDIR", str(tmp_path / "out"))
+    argv = ["profile", "--n", "2", "--method", "exact"]
+    if from_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 2\nmethod = exact\n")
+        argv = ["profile", "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "error: profile needs --state (poisson, number, family)" in err
+    assert "None" not in err
+    assert not (tmp_path / "out").exists()
+
+
+FAMILY_2_15 = ["profile", "--state", "family", "--L", "2", "--N", "1.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # ValueErrors of the input stage
+        ([*FAMILY_2_15, "--method", "mc", "--samples", "10"], "need at least 1e3 samples"),
+        ([*FAMILY_2_15, "--method", "quadrature", "--M", "100"], "must be a power of two"),
+        (["profile", "--state", "family", "--L", "0", "--N", "1.5", "--method", "spectral"],
+         "L must be a positive integer"),
+        (["profile", "--state", "family", "--L", "4", "--N", "1.5", "--method", "quadrature",
+          "--M", "1024"], "M^L = 1024^4 exceeds the evaluation budget"),
+        ([*FAMILY_2_15, "--method", "mc", "--workers", "0"], "workers must be >= 1"),
+        ([*FAMILY_2_15, "--method", "mc", "--batch", "0"], "batch_size must be positive"),
+        ([*FAMILY_2_15, "--method", "spectral", "--points", "-1"], "must be non-negative"),
+        # the state argument
+        (["profile", "--state", "poisson", "--method", "exact"], "'poisson' needs a positive --N"),
+        (["profile", "--state", "number", "--method", "exact"],
+         "'number' needs a non-negative --n"),
+        (["profile", "--state", "family", "--N", "1.5", "--method", "spectral"],
+         "'family' needs --L and --N"),
+        # the commands' own checks
+        (["profile", "--state", "number", "--n", "3", "--method", "saddle", "--L", "0"],
+         "the number-state saddle needs --L >= 1"),
+        (["figure2", "--n", "0"], "figure2 needs n >= 1"),
+        (["figure2", "--L", "0"], "figure2 needs --L >= 1"),
+        (["saddle-table", "--n", "-1"], "saddle-table needs --n >= 0"),
+        (["saddle-table", "--n", "3", "--L", "1"], "saddle-table needs --L >= 2"),
+        (["saddle-table", "--n", "3", "--smin", "-1"], "needs --smin and --smax >= 0"),
+    ],
+    ids=[
+        "samples", "M", "family-L", "budget", "workers", "batch", "points",
+        "poisson-N", "number-n", "family-L-N", "saddle-L", "figure2-n", "figure2-L",
+        "table-n", "table-L", "table-smin",
+    ],
+)
+def test_config_error_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.setenv("WIGPATH_OUTDIR", str(tmp_path / "out"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_profile_config_line_without_equals_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WIGPATH_OUTDIR", str(tmp_path / "out"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("state = number\nn 2\nmethod = exact\n")
+    assert main(["profile", "--config", str(cfg)]) == EXIT_CONFIG_ERROR
+    assert f"{cfg}:2: expected key=value, got 'n 2'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_profile_config_file_with_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -75,7 +75,8 @@ def test_quadrature_equals_brute_force_enumeration():
 
 
 def test_quadrature_anchors_to_poisson_at_l1():
-    params = FamilyParams(1, 1.0)
+    with pytest.warns(UserWarning, match="is an integer"):
+        params = FamilyParams(1, 1.0)
     spec = QuadratureSpec()
     for s in [0.0, 0.7, 1.3, 2.4]:
         got = wigner_quadrature(complex(s), params, spec).value
@@ -90,8 +91,9 @@ def test_quadrature_matches_spectral_oracle():
 
 
 def test_quadrature_convergent_in_m():
-    for L, N in [(3, 1.5), (2, 3.0), (1, 2.5)]:
-        params = FamilyParams(L, N)
+    with pytest.warns(UserWarning, match="is an integer"):
+        members = [FamilyParams(L, N) for L, N in [(3, 1.5), (2, 3.0), (1, 2.5)]]
+    for params in members:
         for s in [0.0, 1.1, 2.9]:
             v64 = wigner_quadrature(complex(s), params, QuadratureSpec(points_per_dim=64)).value
             v128 = wigner_quadrature(complex(s), params, QuadratureSpec(points_per_dim=128)).value
@@ -479,6 +481,8 @@ def test_montecarlo_scalar_call_is_one_point_array_call():
         (single,) = wigner_montecarlo(np.array([alpha]), params, spec)
         assert wigner_montecarlo(alpha, params, spec) == single
         assert single.alpha == alpha and single.method == "monte-carlo"
+    # no points draws nothing and gives no samples
+    assert wigner_montecarlo(np.array([]), params, spec) == []
 
 
 def test_montecarlo_sign_problem_raises_instead_of_a_silent_zero():
@@ -568,6 +572,9 @@ def test_midpoint_grid_validation():
     params = FamilyParams(2, 1.5)
     with pytest.raises(ValueError):
         midpoint_histogram(params, MonteCarloSpec(samples=2000, seed=0), MidpointGrid(2.0, 16))
+    for half_width, bins in [(0.0, 64), (-1.0, 64), (2.0, 1)]:
+        with pytest.raises(ValueError, match="positive half_width and at least 2 bins"):
+            MidpointGrid(half_width, bins)
 
 
 def test_midpoints_of_single_slice_paths_sit_on_circle():

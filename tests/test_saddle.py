@@ -10,6 +10,7 @@ import pytest
 from wigpath import saddle
 from wigpath.saddle import (
     RegionError,
+    SaddleConvergenceError,
     SaddleSolution,
     _newton,
     hessian_log_det,
@@ -88,6 +89,21 @@ def test_residual_grid_and_iteration_budget():
             )
             _, iters = _newton(seed, s, r, L)
             assert iters <= 25
+
+
+@pytest.mark.parametrize(
+    "s, r, L", [(3.0, 2.0, 8), (5.0, 1.0, 64), (2.5, 2.2, 3), (10.0, 3.0, 2048)]
+)
+def test_exterior_solve_on_the_growing_arc_raises(monkeypatch, s, r, L):
+    # Newton from the mirrored seed -i acosh(s/r) ends on the growing arc
+    # (Re S < 0), so it is no fallback; forced there, the solve raises
+    seed = 1j * math.acosh(s / r)
+    theta, _ = _newton(-seed, s, r, L)
+    assert saddle._action(theta, r, L).real < 0.0
+    monkeypatch.setattr(saddle, "_newton", lambda seed, *args: _newton(-seed, *args))
+    with pytest.raises(SaddleConvergenceError, match="no decaying exterior saddle found") as err:
+        solve_saddle(s, r, L)
+    assert err.value.trace == [theta]
 
 
 def test_turning_region_rejected():

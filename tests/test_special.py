@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wigpath import special
 from wigpath.special import (
     _i0_asymptotic_factor,
     _i0_series,
@@ -97,6 +96,13 @@ def test_i0_names_the_first_bad_argument(bad):
         log_bessel_i0(np.array([0.0, 3.0, bad, 25.0, -7.0]))
 
 
+def test_log_bessel_i0_above_the_switch_equals_reference():
+    # the asymptotic sum ends on its 1e-18 test or at 40 terms, never at a
+    # divergent tail, across the range the integrands reach
+    xs = np.linspace(20.0, 2e4, 20001)
+    assert log_bessel_i0(xs).tolist() == [log_bessel_i0_reference(x) for x in xs.tolist()]
+
+
 def test_i0_switchover_continuity():
     # series and asymptotic branches agree at the crossover to 1e-12
     x = np.array([20.0])
@@ -182,22 +188,18 @@ def test_log_factorial_table_consistency():
     assert table[137] - table[136] == pytest.approx(math.log(137.0), rel=1e-12)
 
 
-def test_log_factorials_do_not_depend_on_call_history(monkeypatch):
-    # every entry is one running sum of log k from k = 1, whatever sizes the
-    # table grew through on the way
+def test_log_factorials_do_not_depend_on_call_history():
+    # every entry is one running sum of log k from k = 1, whatever was asked before
     running = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, 5001.0)))))
     for history in ((), (10, 1500, 3000), (2000,)):
-        monkeypatch.setattr(special, "_logfact_table", np.zeros(1))
         for n in history:
             log_factorial(n)
         assert log_factorial(5000) == running[5000]
         assert np.array_equal(log_factorials(5000), running)
 
 
-def test_family_weights_do_not_depend_on_earlier_members(monkeypatch):
-    monkeypatch.setattr(special, "_logfact_table", np.zeros(1))
+def test_family_weights_do_not_depend_on_earlier_members():
     fresh = FamilyParams(2, 1000.5)
-    monkeypatch.setattr(special, "_logfact_table", np.zeros(1))
     FamilyParams(1, 2000.5)
     later = FamilyParams(2, 1000.5)
     assert np.array_equal(later.weight_array, fresh.weight_array)
@@ -207,3 +209,15 @@ def test_family_weights_do_not_depend_on_earlier_members(monkeypatch):
 def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
         log_factorial(-2)
+    with pytest.raises(ValueError):
+        log_factorials(-1)
+
+
+def test_log_factorials_past_a_million_are_one_running_sum():
+    # a table past 1e6 entries is as long as asked and carries no lgamma entries
+    n = 1_000_005
+    table = log_factorials(n)
+    assert len(table) == n + 1
+    running = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n + 1)))))
+    assert np.array_equal(table, running)
+    assert log_factorial(n) == table[n]

@@ -30,7 +30,8 @@ W_REF_L3_N15_S08 = 0.14815519878740827  # 200-term spectral sum, frozen
 
 
 def test_weights_poisson_case():
-    w = dict(enumerate(FamilyParams(1, 1.0).weight_array))
+    with pytest.warns(UserWarning, match="is an integer"):
+        w = dict(enumerate(FamilyParams(1, 1.0).weight_array))
     assert w[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert w[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert w[2] == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-12)
@@ -54,8 +55,9 @@ def test_weights_concentrate_on_floor_n():
 
 
 def test_weights_normalized_and_nonnegative():
-    for L, N in [(1, 1.0), (2, 1.5), (5, 10.5), (40, 10.5)]:
-        params = FamilyParams(L, N)
+    with pytest.warns(UserWarning, match="is an integer"):
+        members = [FamilyParams(L, N) for L, N in [(1, 1.0), (2, 1.5), (5, 10.5), (40, 10.5)]]
+    for params in members:
         total = params.weight_array.sum()
         assert 1.0 - 1e-12 <= total <= 1.0 + 1e-12
         assert (params.weight_array >= 0.0).all()
@@ -104,7 +106,30 @@ def test_log_partition_trivial_and_bessel():
     assert FamilyParams(1, 0.7).log_z == pytest.approx(0.0, abs=1e-12)
     assert FamilyParams(1, 12.3).log_z == pytest.approx(0.0, abs=1e-12)
     # sum_n 1/(n!)^2 = I0(2)
-    assert FamilyParams(2, 1.0).log_z == pytest.approx(-2.0 + LN_I0_2, rel=1e-12)
+    with pytest.warns(UserWarning, match="is an integer"):
+        params = FamilyParams(2, 1.0)
+    assert params.log_z == pytest.approx(-2.0 + LN_I0_2, rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [1, 2, 8])
+def test_basis_cutoff_drops_only_levels_below_e_minus_46_of_the_peak(L):
+    # levels 0 .. ceil(4N + 20): the last kept one already trails the peak by
+    # more than e^-46; the narrowest gap, 47.9 at L = 1, is near N = 3.25
+    Ns = np.geomspace(1e-6, 1e4, 401).tolist() + [3.249230125810098]
+    for N in (N for N in Ns if not N.is_integer()):
+        params = FamilyParams(L, N)
+        w = params.weight_array
+        assert params.n_max == math.ceil(4.0 * N + 20.0) == len(w) - 1
+        assert w[params.n_max] < math.exp(-46.0) * w.max(), N
+
+
+def test_family_builds_past_a_million_levels():
+    # N = 300000.5 keeps levels 0 .. 1,200,022; Z = 1 at L = 1, and the
+    # running sum of ln k, 6.0e-8 below ln(300000!), moves log_z by as much
+    params = FamilyParams(1, 300000.5)
+    assert params.n_max == 1_200_022 and len(params.weight_array) == 1_200_023
+    assert abs(params.log_z) < 1e-7
+    assert abs(params.weight_array.sum() - 1.0) < 1e-12
 
 
 def test_log_partition_stirling_comparison():
