@@ -122,7 +122,7 @@ def _saddle_columns(rs: np.ndarray, n: int, L: int, normalization: str = "wkb-ma
     """The number-state saddle at each radius as (values, stderrs, zones):
     radii in a singular zone are masked out of the one wigner_saddle call and
     get None and the zone's name."""
-    zones = singular_zone(rs, math.sqrt(n + 0.5))
+    zones = singular_zone(np.abs(rs), math.sqrt(n + 0.5))
     values = iter(wigner_saddle(rs[zones == ""], n, L=L, normalization=normalization).tolist())
     zones = zones.tolist()
     return [None if zone else next(values) for zone in zones], None, zones

@@ -126,6 +126,8 @@ class MonteCarloSpec:
             object.__setattr__(self, "batch_size", max(256, -(-self.samples // 64)))
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if self.batch_size >= self.samples:
+            raise ValueError("batch_size must be below samples: one batch has no standard error")
 
     def batch_sizes(self) -> list[int]:
         full, rest = divmod(self.samples, self.batch_size)
@@ -258,24 +260,23 @@ def _mc_batch_sums(
     batch_index: int, size: int, L: int, r: float, s: np.ndarray, seed: int,
     totals: np.ndarray, scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of one batch at every radius in s: rows sum w, sum (2^-k Re w)^2,
-    sum |w| and sum (2^-k |w|)^2 for w = exp(-S), and the exponents k of each
-    radius's largest |w| (np.frexp).  A scaled square underflows only where the
-    weights do; where none is subnormal, a scaled sum is the unscaled one / 4^k.
+    """Sums of one batch at every radius in s: rows sum w, sum |w| and
+    sum (2^-k |w|)^2 for w = exp(-S), and the exponents k of each radius's
+    largest |w| (np.frexp).  A scaled square underflows only where the weights
+    do; where none is subnormal, the scaled sum is the unscaled one / 4^k.
 
     The batch is drawn once and serves every radius.  Radii are taken in
     blocks of about _BLOCK_ENTRIES (radius, sample) entries; a profile of more
     blocks re-evaluates the path terms once per block.  Each block is computed
     in views of the caller's flat buffers, totals (complex) and scratch
     (real), so a batch allocates no block-sized array: the actions become w
-    in totals, |w| is formed in the scratch and scaled and squared in place
-    once summed, and Re w is then scaled and squared into the scratch.  Every
-    reduction runs along the sample axis of a C-contiguous block, so each
-    radius is summed exactly as a single-radius call would sum it.
+    in totals, and |w| is formed in the scratch and scaled and squared in
+    place once summed.  Every reduction runs along the sample axis of a
+    C-contiguous block, so each radius is summed as a one-radius call sums it.
     """
     thetas = _batch_angles(seed, batch_index, size, L)
     per_block = _radii_per_block(size, len(s))
-    sums = np.empty((4, len(s)), dtype=complex)
+    sums = np.empty((3, len(s)), dtype=complex)
     exps = np.empty(len(s), dtype=np.intc)
     for lo in range(0, len(s), per_block):
         rows = s[lo : lo + per_block]
@@ -286,10 +287,9 @@ def _mc_batch_sums(
         np.exp(np.negative(w, out=w), out=w)
         cols = slice(lo, lo + per_block)
         sums[0, cols] = w.sum(axis=1)
-        sums[2, cols] = mag.sum(axis=1)
+        sums[1, cols] = mag.sum(axis=1)
         exps[cols] = k = np.frexp(mag.max(axis=1))[1]
-        sums[3, cols] = np.square(np.ldexp(mag, -k[:, None], out=mag), out=mag).sum(axis=1)
-        sums[1, cols] = np.square(np.ldexp(w.real, -k[:, None], out=real), out=real).sum(axis=1)
+        sums[2, cols] = np.square(np.ldexp(mag, -k[:, None], out=mag), out=mag).sum(axis=1)
     return sums, exps
 
 
@@ -297,7 +297,7 @@ def _mc_chunk_sums(
     batches: list[tuple[int, int]], L: int, r: float, s: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sums and exponents of a run of (batch index, size) batches, stacked in
-    order to (batch, 4, radii) and (batch, radii), computed in one buffer pair
+    order to (batch, 3, radii) and (batch, radii), computed in one buffer pair
     sized to the run's largest radius block."""
     entries = max(_radii_per_block(size, len(s)) * size for _, size in batches)
     totals, scratch = np.empty(entries, dtype=complex), np.empty(entries)
@@ -310,14 +310,16 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _weighted_batch_se(batch_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Standard error of each point's weighted batch mean, from (batch, point)
-    values.  Each point is reduced along a contiguous row, which numpy sums
-    pairwise exactly as it sums a 1-D array."""
+def _batch_means_se(batch_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Standard error of each point's weighted mean m of (batch, point) values
+    m_b, with weights w_b = n_b / n: the square root of the batch-means
+    variance sum_b w_b (m_b - m)^2 / (B - 1), unbiased for any batch sizes.
+    Each point is reduced along a contiguous row, which numpy sums pairwise
+    exactly as it sums a 1-D array."""
     rows = np.ascontiguousarray(batch_values.T)
     mean = (weights * rows).sum(axis=1)
-    var = (weights**2 * (rows - mean[:, None]) ** 2).sum(axis=1)
-    return np.sqrt(var * len(weights) / (len(weights) - 1))
+    var = (weights * (rows - mean[:, None]) ** 2).sum(axis=1)
+    return np.sqrt(var / (len(weights) - 1))
 
 
 def wigner_montecarlo(
@@ -328,11 +330,11 @@ def wigner_montecarlo(
     alpha is a complex scalar, giving one WignerSample, or a 1-D array of
     points, giving one WignerSample per point in input order.  One set of
     draws serves every point, and the result at each point is bit-identical
-    to a single-point call there.  Each sample carries the standard error and
-    the sign-problem diagnostics.  The estimate divides by the exact
-    number-basis partition sum Z(L, N).  Raises :class:`SignProblemError`,
-    naming the first such point, where the effective sample size is below 5
-    or every weight underflows.
+    to a single-point call there.  Each sample carries the sign-problem
+    diagnostics and the batch-means standard errors of its value and mean
+    phase.  The estimate divides by the exact number-basis partition sum
+    Z(L, N).  Raises :class:`SignProblemError`, naming the first such point,
+    where the effective sample size is below 5 or every weight underflows.
 
     The batch sums of every point are combined at once.  Totals run over the
     leading batch axis, which numpy adds in batch order; np.hypot and
@@ -356,12 +358,12 @@ def wigner_montecarlo(
             parts = list(pool.map(chunk_sums, chunks))
     else:
         parts = list(map(chunk_sums, chunks))
-    # (batch, 4, point) sums; each point's squared rows go to its largest exponent
+    # (batch, 3, point) sums; each point's squared row goes to its largest exponent
     stats, exps = (np.concatenate(part) for part in zip(*parts))
     top = exps.max(axis=0)
-    stats.real[:, 1::2] = np.ldexp(stats.real[:, 1::2], 2 * (exps - top)[:, None])
-    sum_w, *totals = stats.sum(axis=0)
-    sum_w_re2, sum_mag, sum_mag2 = (t.real for t in totals)
+    stats.real[:, 2] = np.ldexp(stats.real[:, 2], 2 * (exps - top))
+    sum_w, sum_mag, sum_mag2 = stats.sum(axis=0)
+    sum_mag, sum_mag2 = sum_mag.real, sum_mag2.real
 
     n = sum(sizes)
     scale = _WIGNER_BOUND * math.exp(-params.log_z)
@@ -382,19 +384,13 @@ def wigner_montecarlo(
             f"{_MIN_ESS:g} at alpha = {points[k]:.6g}: the sign problem hides the value",
             float(ess[k]), float(phase[k]),
         )
-    if len(sizes) > 1:
-        batch_w, batch_n = stats[:, 0], np.array(sizes)
-        weights = batch_n / n
-        # batch means in units of 2^top: their deviations square without underflow
-        means = scale * np.ldexp(batch_w.real, -top) / batch_n[:, None]
-        se = np.ldexp(_weighted_batch_se(means, weights), top)
-        batch_phase = np.fmin(1.0, _ratio(np.hypot(batch_w.real, batch_w.imag), stats[:, 2].real))
-        phase_se = _weighted_batch_se(batch_phase, weights).tolist()
-    else:
-        # single batch: fall back to the per-sample variance, in units of 4^top
-        var = np.maximum(sum_w_re2 / n - np.float_power(np.ldexp(sum_w.real, -top) / n, 2), 0.0)
-        se = scale * np.ldexp(np.sqrt(var / max(n - 1, 1)), top)
-        phase_se = [None] * len(points)
+    batch_w, batch_n = stats[:, 0], np.array(sizes)
+    weights = batch_n / n
+    # batch means in units of 2^top: their deviations square without underflow
+    means = scale * np.ldexp(batch_w.real, -top) / batch_n[:, None]
+    se = np.ldexp(_batch_means_se(means, weights), top)
+    batch_phase = np.fmin(1.0, _ratio(np.hypot(batch_w.real, batch_w.imag), stats[:, 1].real))
+    phase_se = _batch_means_se(batch_phase, weights).tolist()
     columns = zip(points, estimate.tolist(), se.tolist(), phase.tolist(), ess.tolist(), phase_se)
     results = [
         WignerSample(a, value, "monte-carlo", error, ph, n_eff, ph_se)

@@ -59,8 +59,8 @@ class WignerSample:
     how it was obtained.
 
     Monte Carlo evaluations also carry their sign-problem diagnostics: the
-    standard error, the mean phase magnitude with its standard error (None
-    for a single batch), and the effective sample size.
+    standard error, the mean phase magnitude with its standard error, and
+    the effective sample size.
     """
 
     alpha: complex

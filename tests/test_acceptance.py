@@ -201,7 +201,7 @@ def test_criterion_07_monte_carlo_consistency_and_sign_trend():
         res = wigner_montecarlo(
             0.8 + 0j, FamilyParams(L, 1.5), MonteCarloSpec(1_000_000, seed=123)
         )
-        phases.append((res.mean_phase_magnitude, res.phase_standard_error or 0.0))
+        phases.append((res.mean_phase_magnitude, res.phase_standard_error))
     positive = all(p > 0.0 for p, _ in phases)
     non_increasing = all(
         b <= a + 2.0 * math.hypot(sa, sb)

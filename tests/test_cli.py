@@ -121,6 +121,20 @@ def test_profile_mc_has_stderr_column(tmp_path):
     assert all(row[3] != "" and float(row[3]) >= 0.0 for row in rows)
 
 
+def test_profile_saddle_is_even_in_r(tmp_path):
+    # rows at -r carry W(|r|) and the region of |r|, as on the other routes
+    out = tmp_path / "sad.csv"
+    argv = [
+        "profile", "--state", "number", "--n", "3", "--method", "saddle",
+        "--rmin", "-4", "--rmax", "4", "--points", "17", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    _, rows = read_csv(out)
+    assert [float(row[0]) for row in rows] == [0.5 * k for k in range(-8, 9)]
+    assert [row[1:] for row in rows] == [row[1:] for row in reversed(rows)]
+    assert {row[4] for row in rows} == {"", "origin"}
+
+
 def test_profile_saddle_emits_region_notes(tmp_path):
     out = tmp_path / "sad.csv"
     # grid fine enough to land inside the excluded annulus around sqrt(10.5)
@@ -184,6 +198,8 @@ FAMILY_2_15 = ["profile", "--state", "family", "--L", "2", "--N", "1.5"]
           "--M", "1024"], "M^L = 1024^4 exceeds the evaluation budget"),
         ([*FAMILY_2_15, "--method", "mc", "--workers", "0"], "workers must be >= 1"),
         ([*FAMILY_2_15, "--method", "mc", "--batch", "0"], "batch_size must be positive"),
+        ([*FAMILY_2_15, "--method", "mc", "--samples", "6000", "--batch", "6000"],
+         "one batch has no standard error"),
         ([*FAMILY_2_15, "--method", "spectral", "--points", "-1"], "must be non-negative"),
         # the state argument
         (["profile", "--state", "poisson", "--method", "exact"], "'poisson' needs a positive --N"),
@@ -201,7 +217,7 @@ FAMILY_2_15 = ["profile", "--state", "family", "--L", "2", "--N", "1.5"]
         (["saddle-table", "--n", "3", "--smin", "-1"], "needs --smin and --smax >= 0"),
     ],
     ids=[
-        "samples", "M", "family-L", "budget", "workers", "batch", "points",
+        "samples", "M", "family-L", "budget", "workers", "batch", "one-batch", "points",
         "poisson-N", "number-n", "family-L-N", "saddle-L", "figure2-n", "figure2-L",
         "table-n", "table-L", "table-smin",
     ],

@@ -342,6 +342,15 @@ def test_montecarlo_spec_validation():
     assert sum(spec.batch_sizes()) == 100_000
 
 
+def test_montecarlo_spec_rejects_a_one_batch_schedule():
+    # one batch has no batch-means standard error; the default schedule of
+    # the fewest samples has four batches
+    for batch_size in (6_000, 7_000):
+        with pytest.raises(ValueError, match="one batch has no standard error"):
+            MonteCarloSpec(samples=6_000, batch_size=batch_size)
+    assert MonteCarloSpec(samples=1_000).batch_sizes() == [256, 256, 256, 232]
+
+
 def test_montecarlo_reproducible_and_worker_independent():
     params = FamilyParams(3, 1.5)
     spec1 = MonteCarloSpec(samples=50_000, seed=42, workers=1)
@@ -390,7 +399,7 @@ def test_mean_phase_magnitude_non_increasing_in_l():
         res = wigner_montecarlo(0.8 + 0j, params, MonteCarloSpec(samples=200_000, seed=11))
         rows.append(res)
     for a, b in zip(rows, rows[1:]):
-        slack = 2.0 * math.hypot(a.phase_standard_error or 0.0, b.phase_standard_error or 0.0)
+        slack = 2.0 * math.hypot(a.phase_standard_error, b.phase_standard_error)
         assert b.mean_phase_magnitude <= a.mean_phase_magnitude + slack
         assert b.mean_phase_magnitude > 0.0
 
@@ -411,44 +420,33 @@ def per_radius_reference(s, params, spec):
         totals = circle_actions_batch(thetas, params.radius, np.array([s]))[0]
         w = np.exp(-totals)
         mag = np.exp(-totals.real)
-        stats.append(
-            (size, complex(w.sum()), float((w.real**2).sum()), float(mag.sum()),
-             float((mag**2).sum()))
-        )
+        stats.append((size, complex(w.sum()), float(mag.sum()), float((mag**2).sum())))
     # batch totals are added one by one in batch order, as the library adds
     # them; the builtin sum compensates float additions from Python 3.12 on
-    n, sum_w, sum_w_re2, sum_mag, sum_mag2 = 0, 0j, 0.0, 0.0, 0.0
-    for size, w_total, w_re2, mag_total, mag2 in stats:
+    n, sum_w, sum_mag, sum_mag2 = 0, 0j, 0.0, 0.0
+    for size, w_total, mag_total, mag2 in stats:
         n += size
         sum_w += w_total
-        sum_w_re2 += w_re2
         sum_mag += mag_total
         sum_mag2 += mag2
     scale = (2.0 / math.pi) * math.exp(-params.log_z)
     weights = np.array([st[0] for st in stats], dtype=float) / n
 
     def batch_se(means):
+        # batch means: sum_b w_b (m_b - m)^2 / (B - 1) with w_b = n_b / n
         mean = float((weights * means).sum())
-        var = float((weights**2 * (means - mean) ** 2).sum())
-        return math.sqrt(var * len(means) / (len(means) - 1))
+        var = float((weights * (means - mean) ** 2).sum())
+        return math.sqrt(var / (len(means) - 1))
 
-    estimate = scale * sum_w.real / n
     means = np.array([scale * st[1].real / st[0] for st in stats])
-    if len(stats) > 1:
-        se = batch_se(means)
-        phase_se = batch_se(np.array([min(1.0, abs(st[1]) / st[3]) for st in stats]))
-    else:
-        var = max(sum_w_re2 / n - (sum_w.real / n) ** 2, 0.0)
-        se = scale * math.sqrt(var / max(n - 1, 1))
-        phase_se = None
     return WignerSample(
         alpha=complex(s),
-        value=estimate,
+        value=scale * sum_w.real / n,
         method="monte-carlo",
-        standard_error=se,
+        standard_error=batch_se(means),
         mean_phase_magnitude=min(1.0, abs(sum_w) / sum_mag),
         effective_sample_size=sum_mag**2 / sum_mag2,
-        phase_standard_error=phase_se,
+        phase_standard_error=batch_se(np.array([min(1.0, abs(st[1]) / st[2]) for st in stats])),
     )
 
 
@@ -457,13 +455,12 @@ def per_radius_reference(s, params, spec):
     [
         MonteCarloSpec(samples=20_000, seed=5, workers=1),
         MonteCarloSpec(samples=20_000, seed=5, workers=3),
-        MonteCarloSpec(samples=6_000, seed=8, batch_size=6_000),  # one batch
         # batches of 7000, 7000 and 6000: one buffer pair for all three, or
         # one pair per batch, the last a size smaller
         MonteCarloSpec(samples=20_000, seed=5, workers=1, batch_size=7_000),
         MonteCarloSpec(samples=20_000, seed=5, workers=3, batch_size=7_000),
     ],
-    ids=["workers1", "workers3", "single_batch", "workers1_uneven", "workers3_uneven"],
+    ids=["workers1", "workers3", "workers1_uneven", "workers3_uneven"],
 )
 def test_montecarlo_array_call_bit_identical_to_per_radius_reference(spec):
     params = FamilyParams(3, 1.5)
@@ -472,6 +469,43 @@ def test_montecarlo_array_call_bit_identical_to_per_radius_reference(spec):
     assert len(results) == len(radii)
     for s, got in zip(radii, results):
         assert got == per_radius_reference(float(s), params, spec)
+
+
+@pytest.mark.parametrize("batch_size", [1_999, 1_500], ids=["1999+1", "1500+500"])
+def test_montecarlo_standard_error_matches_the_spread_at_uneven_batches(batch_size):
+    # over 300 seeds the rms reported standard error is the spread of the
+    # estimates (measured 0.95-0.98); batches weighted by w_b^2 and scaled by
+    # B / (B - 1), right only for equal batches, read 0.04 at 1999 + 1 and
+    # 0.84 at 1500 + 500
+    params = FamilyParams(2, 1.5)
+    radii = np.array([0.0, 1.0], dtype=complex)
+    runs = [
+        wigner_montecarlo(radii, params, MonteCarloSpec(2_000, seed=seed, batch_size=batch_size))
+        for seed in range(300)
+    ]
+    values = np.array([[res.value for res in run] for run in runs])
+    errors = np.array([[res.standard_error for res in run] for run in runs])
+    ratio = np.sqrt((errors**2).mean(axis=0)) / values.std(axis=0, ddof=1)
+    assert np.all((0.9 <= ratio) & (ratio <= 1.1)), ratio
+
+
+def test_montecarlo_standard_errors_of_two_batches():
+    # sum_b w_b (m_b - m)^2 / (B - 1) at B = 2 is w1 w2 (m1 - m2)^2, for the
+    # batch estimates m_b of the value and of the mean phase magnitude
+    params, s = FamilyParams(3, 1.5), 0.8
+    spec = MonteCarloSpec(samples=2_000, seed=4, batch_size=1_500)
+    actions = [
+        circle_actions_batch(batch_angles(spec, b, size, 3), params.radius, np.array([s]))[0]
+        for b, size in enumerate(spec.batch_sizes())
+    ]
+    batch_w = [np.exp(-a) for a in actions]
+    scale = (2.0 / math.pi) * math.exp(-params.log_z)
+    m1, m2 = (scale * w.real.mean() for w in batch_w)
+    ph1, ph2 = (min(1.0, abs(w.sum()) / np.abs(w).sum()) for w in batch_w)
+    res = wigner_montecarlo(complex(s), params, spec)
+    spread = math.sqrt(0.75 * 0.25)
+    assert res.standard_error == pytest.approx(spread * abs(m1 - m2), rel=1e-12)
+    assert res.phase_standard_error == pytest.approx(spread * abs(ph1 - ph2), rel=1e-12)
 
 
 def test_montecarlo_scalar_call_is_one_point_array_call():
@@ -768,9 +802,10 @@ def test_quadrature_call_allocates_no_kernel_sized_array():
 
 
 def test_midpoint_histogram_memory_of_one_batch():
-    # one batch at the benchmark's midpoint-map batch size (2e6 samples / 64)
+    # one full batch at the benchmark's midpoint-map batch size (2e6 samples
+    # / 64), then a batch of one sample
     params = FamilyParams(3, 1.5)
-    spec = MonteCarloSpec(samples=31_250, seed=1, batch_size=31_250)
+    spec = MonteCarloSpec(samples=31_251, seed=1, batch_size=31_250)
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
     peak = traced_peak(lambda: midpoint_histogram(params, spec, grid))
     assert peak <= 4_570_000
