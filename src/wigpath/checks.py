@@ -189,6 +189,8 @@ def sign_rows(members: list[FamilyParams], alpha: complex, spec: MonteCarloSpec)
 def check_sign(L_max: int = 5, samples: int = 200_000, seed: int = 7) -> list[CheckResult]:
     """Mean-phase-magnitude table over L = 1..L_max with a monotone-trend flag,
     for the family at N = 1.5 and the point alpha = 0.8."""
+    if L_max < 1:
+        raise ValueError(f"the sign suite needs L_max >= 1, got {L_max}")
     members = [FamilyParams(L, 1.5) for L in range(1, L_max + 1)]
     rows = sign_rows(members, 0.8 + 0j, MonteCarloSpec(samples, seed=seed))
     phases = [(row["mean_phase_magnitude"], row["phase_standard_error"] or 0.0) for row in rows]

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .action import circle_actions_batch, circle_phasors
-from .states import _WIGNER_BOUND, FamilyParams, WignerSample, _points
+from .states import _WIGNER_BOUND, FamilyParams, WignerSample, _finite, _points
 
 _IMAG_RESIDUE_TOL = 1e-10
 # (radius, sample) entries per block of the Monte Carlo temporaries
@@ -120,6 +120,8 @@ class MonteCarloSpec:
     def __post_init__(self):
         if self.samples < 1000:
             raise ValueError(f"need at least 1e3 samples, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.batch_size is None:
@@ -204,24 +206,25 @@ def wigner_quadrature(
     FloatingPointError if the kernel underflows, and :class:`RealnessError`
     if the grid sum at a point fails to be real to 1e-10 relative (the
     uniform grid pairs every path with its time reverse, so a residue signals
-    a bug rather than a numerical limit).  Array rows equal one-point calls
-    bit for bit.
+    a bug rather than a numerical limit).  A non-finite value raises
+    FloatingPointError, and a value above the 2/pi bound of every Wigner
+    function ValueError, each naming the first such point.  Array rows equal
+    one-point calls bit for bit.
     """
     spec.check_budget(params.L)
     points, scalar = _points(alpha)
-    flat = np.array(points, dtype=complex)
     M = spec.points_per_dim
     r = params.radius
     c = _circle_kernel(r, params.L, M)
     theta = 2.0 * math.pi * np.arange(M) / M
     scale = _WIGNER_BOUND * math.exp(-params.log_z - params.L * math.log(M))
     per_block = max(_QUAD_MIN_BLOCK_POINTS, _QUAD_BLOCK_ENTRIES // M)
-    totals = np.empty(flat.size, dtype=complex)
-    for lo in range(0, flat.size, per_block):
-        n = min(per_block, flat.size - lo)
+    totals = np.empty(points.size, dtype=complex)
+    for lo in range(0, points.size, per_block):
+        n = min(per_block, points.size - lo)
         # a lone point is stacked twice: numpy would send one row to BLAS gemv,
         # which adds in another order than the gemm of a block
-        block = flat[lo : lo + n] if n > 1 else np.repeat(flat[lo], 2)
+        block = points[lo : lo + n] if n > 1 else np.repeat(points[lo], 2)
         s = np.abs(block)[:, None]
         # one unit phasor row per distinct point angle: a radial profile has one
         angles, rows = np.unique(np.angle(block), return_inverse=True)
@@ -236,9 +239,15 @@ def wigner_quadrature(
         totals[lo : lo + n] = total
         suspect = np.flatnonzero(np.abs(total.imag) > _IMAG_RESIDUE_TOL * np.abs(total.real))
         if suspect.size:
-            _check_realness(flat[lo + suspect], total[suspect], np.abs(u[suspect]), c)
-    values = zip(points, (scale * totals.real).tolist())
-    results = [WignerSample(a, x, "quadrature") for a, x in values]
+            _check_realness(points[lo + suspect], total[suspect], np.abs(u[suspect]), c)
+    values = _finite(scale * totals.real, points, False, "quadrature")
+    over = np.flatnonzero(np.abs(values) > _WIGNER_BOUND + 1e-9)
+    if over.size:
+        k = over[0]
+        raise ValueError(
+            f"|W| = {abs(values[k]):.6g} exceeds the 2/pi bound at alpha = {points[k]:.6g}"
+        )
+    results = [WignerSample(x) for x in values.tolist()]
     return results[0] if scalar else results
 
 
@@ -334,16 +343,17 @@ def wigner_montecarlo(
     diagnostics and the batch-means standard errors of its value and mean
     phase.  The estimate divides by the exact number-basis partition sum
     Z(L, N).  Raises :class:`SignProblemError`, naming the first such point,
-    where the effective sample size is below 5 or every weight underflows.
+    where the effective sample size is below 5 or every weight underflows,
+    and FloatingPointError, naming it, at a non-finite estimate.
 
     The batch sums of every point are combined at once.  Totals run over the
     leading batch axis, which numpy adds in batch order; np.hypot and
     np.float_power(x, 2) give the bits of abs(complex) and of float ** 2.
     """
     points, scalar = _points(alpha)
-    if not points:
+    if not points.size:
         return []
-    s = np.abs(np.array(points))
+    s = np.abs(points)
     sizes = spec.batch_sizes()
     # contiguous runs of batches, at most one per worker, each computed in its
     # own buffers; a single run stays in the calling thread
@@ -366,8 +376,6 @@ def wigner_montecarlo(
     sum_mag, sum_mag2 = sum_mag.real, sum_mag2.real
 
     n = sum(sizes)
-    scale = _WIGNER_BOUND * math.exp(-params.log_z)
-    estimate = scale * sum_w.real / n
     phase = np.fmin(1.0, _ratio(np.hypot(sum_w.real, sum_w.imag), sum_mag))
     ess = _ratio(np.float_power(np.ldexp(sum_mag, -top), 2), sum_mag2)
     low = np.flatnonzero(ess < _MIN_ESS)
@@ -384,18 +392,19 @@ def wigner_montecarlo(
             f"{_MIN_ESS:g} at alpha = {points[k]:.6g}: the sign problem hides the value",
             float(ess[k]), float(phase[k]),
         )
+    # past the guard, so that a member whose weights all underflow raises
+    # SignProblemError, not OverflowError: exp(-log Z) overflows at log Z < -709
+    scale = _WIGNER_BOUND * math.exp(-params.log_z)
+    estimate = _finite(scale * sum_w.real / n, points, False, "Monte Carlo")
     batch_w, batch_n = stats[:, 0], np.array(sizes)
     weights = batch_n / n
     # batch means in units of 2^top: their deviations square without underflow
     means = scale * np.ldexp(batch_w.real, -top) / batch_n[:, None]
     se = np.ldexp(_batch_means_se(means, weights), top)
     batch_phase = np.fmin(1.0, _ratio(np.hypot(batch_w.real, batch_w.imag), stats[:, 1].real))
-    phase_se = _batch_means_se(batch_phase, weights).tolist()
-    columns = zip(points, estimate.tolist(), se.tolist(), phase.tolist(), ess.tolist(), phase_se)
-    results = [
-        WignerSample(a, value, "monte-carlo", error, ph, n_eff, ph_se)
-        for a, value, error, ph, n_eff, ph_se in columns
-    ]
+    phase_se = _batch_means_se(batch_phase, weights)
+    columns = (estimate, se, phase, ess, phase_se)
+    results = [WignerSample(*row) for row in zip(*(c.tolist() for c in columns))]
     return results[0] if scalar else results
 
 

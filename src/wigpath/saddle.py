@@ -270,7 +270,7 @@ def wigner_saddle(
     r2 = n + 0.5
     r = math.sqrt(r2)
     log_norm = -_log_raw_constant(n, L) if normalization == "raw" else math.log(_WKB_AMPLITUDE)
-    s = _radii(alpha)
+    s = _radii(points)
     zones = singular_zone(s, r)
     bad = np.flatnonzero(zones != "")
     if len(bad):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wigpath.integrate import MonteCarloSpec, wigner_montecarlo
+from wigpath.integrate import MonteCarloSpec, QuadratureSpec, wigner_montecarlo, wigner_quadrature
 from wigpath.states import FamilyParams
 
 
@@ -50,3 +50,9 @@ def test_traced_montecarlo_calls_give_finite_mc_metrics():
     for name in ("samples_per_s", "mean_phase", "ess_frac", "se2_mean"):
         value = metrics[f"integrate.mc.{name}"]
         assert math.isfinite(value) and value > 0
+
+
+def test_scalar_quadrature_call_has_a_float_value():
+    # bench/outcheck.py reads .value of one-point quadrature calls
+    res = wigner_quadrature(0.8 + 0j, FamilyParams(2, 1.5), QuadratureSpec(points_per_dim=64))
+    assert type(res.value) is float and math.isfinite(res.value)

@@ -14,7 +14,7 @@ import pytest
 
 import wigpath
 from wigpath import cli
-from wigpath.checks import sign_rows
+from wigpath.checks import check_sign, sign_rows
 from wigpath.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from wigpath.integrate import MonteCarloSpec, RealnessError, wigner_montecarlo
 from wigpath.saddle import RegionError, solve_saddle, wigner_saddle
@@ -201,6 +201,10 @@ FAMILY_2_15 = ["profile", "--state", "family", "--L", "2", "--N", "1.5"]
         ([*FAMILY_2_15, "--method", "mc", "--samples", "6000", "--batch", "6000"],
          "one batch has no standard error"),
         ([*FAMILY_2_15, "--method", "spectral", "--points", "-1"], "must be non-negative"),
+        ([*FAMILY_2_15, "--method", "mc", "--seed", "-1"], "seed must be non-negative"),
+        (["mc-diag", "--N", "1.5", "--seed", "-1"], "seed must be non-negative"),
+        (["check", "sign", "--seed", "-1"], "seed must be non-negative"),
+        (["check", "all", "--seed", "-1"], "seed must be non-negative"),
         # the state argument
         (["profile", "--state", "poisson", "--method", "exact"], "'poisson' needs a positive --N"),
         (["profile", "--state", "number", "--method", "exact"],
@@ -218,6 +222,7 @@ FAMILY_2_15 = ["profile", "--state", "family", "--L", "2", "--N", "1.5"]
     ],
     ids=[
         "samples", "M", "family-L", "budget", "workers", "batch", "one-batch", "points",
+        "seed-profile", "seed-mc-diag", "seed-check-sign", "seed-check-all",
         "poisson-N", "number-n", "family-L-N", "saddle-L", "figure2-n", "figure2-L",
         "table-n", "table-L", "table-smin",
     ],
@@ -348,8 +353,13 @@ def test_quadrature_kernel_underflow_exits_3(tmp_path, capsys):
         # the Laguerre recurrence of the number state overflows to nan
         ["--state", "number", "--n", "400", "--method", "exact",
          "--rmin", "19", "--rmax", "21", "--points", "3"],
+        # |alpha|^2 itself overflows
+        ["--state", "family", "--L", "2", "--N", "1.5", "--method", "spectral",
+         "--rmin", "1e200", "--rmax", "1e200", "--points", "1"],
+        ["--state", "number", "--n", "3", "--method", "exact",
+         "--rmin", "1e200", "--rmax", "1e200", "--points", "1"],
     ],
-    ids=["spectral", "number"],
+    ids=["spectral", "number", "spectral-overflow", "number-overflow"],
 )
 def test_profile_non_finite_value_exits_3(tmp_path, capsys, argv):
     out = tmp_path / "p.csv"
@@ -357,7 +367,10 @@ def test_profile_non_finite_value_exits_3(tmp_path, capsys, argv):
         warnings.simplefilter("ignore", RuntimeWarning)
         code = main(["profile", *argv, "--out", str(out)])
     assert code == EXIT_INTERNAL_ERROR
-    assert "FloatingPointError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FloatingPointError" in err
+    if "1e200" in argv:
+        assert "at alpha = 1e+200+0j" in err
     assert not out.exists()
 
 
@@ -749,6 +762,12 @@ def test_check_sign_empty_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_sign_without_members_raises():
+    # one passing result with no rows would be all([]), not a check
+    with pytest.raises(ValueError, match="the sign suite needs L_max >= 1, got 0"):
+        check_sign(L_max=0, samples=2_000)
+
+
 def test_check_all_forwards_sign_options(tmp_path):
     out = tmp_path / "all.json"
     main(["check", "all", "--samples", "2000", "--L-max", "2", "--seed", "3", "--out", str(out)])
@@ -882,6 +901,17 @@ def test_mc_diag_leaves_the_phase_of_an_underflowed_member_empty(tmp_path):
     assert main(["mc-diag", "--N", "1.5", "--alpha", "30", "--L-max", "1", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert rows == [["1", "", "", "", "", "0"]]
+
+
+def test_mc_diag_writes_members_whose_partition_sum_underflows(tmp_path):
+    # ln Z < -709 from L = 649 at N = 1.5, where exp(-ln Z) overflows; every
+    # weight has underflowed there, so each row is an underflowed member's
+    out = tmp_path / "diag.csv"
+    argv = ["mc-diag", "--N", "1.5", "--L-min", "649", "--L-max", "651", "--samples", "2000",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    _, rows = read_csv(out)
+    assert rows == [[L, "", "", "", "", "0"] for L in ("649", "650", "651")]
 
 
 def test_mc_diag_rows_equal_check_sign_rows(tmp_path):

@@ -160,10 +160,10 @@ def test_quadrature_array_rows_match_one_point_calls(monkeypatch):
         params = FamilyParams(L, N)
         spec = QuadratureSpec(points_per_dim=M)
         rows = wigner_quadrature(alphas, params, spec)
-        assert [res.alpha for res in rows] == [complex(a) for a in alphas]
+        assert len(rows) == len(alphas)
         for alpha, res in zip(alphas, rows):
             one = wigner_quadrature(complex(alpha), params, spec)
-            assert isinstance(one, WignerSample) and one.method == "quadrature"
+            assert isinstance(one, WignerSample) and isinstance(one.value, float)
             assert res.value == one.value
     # blocks of radii leave every row as it was
     monkeypatch.setattr(integrate, "_QUAD_MIN_BLOCK_POINTS", 1)
@@ -184,6 +184,30 @@ def test_quadrature_non_hermitian_kernel_raises(monkeypatch):
     monkeypatch.setattr(integrate, "_circle_kernel", skewed)
     with pytest.raises(RealnessError):
         wigner_quadrature(np.array([0.0, 0.8, 1.6]), FamilyParams(3, 1.5))
+
+
+def test_quadrature_names_the_point_of_a_non_finite_value(monkeypatch):
+    product = integrate._kernel_product
+
+    def poisoned(u, c):
+        out = product(u, c)
+        out[1] = math.nan
+        return out
+
+    monkeypatch.setattr(integrate, "_kernel_product", poisoned)
+    message = r"non-finite quadrature Wigner value nan at alpha = 1\.6\+0j"
+    with pytest.raises(FloatingPointError, match=message):
+        wigner_quadrature(np.array([0.8, 1.6, 2.4]), FamilyParams(3, 1.5))
+
+
+def test_quadrature_names_the_point_over_the_wigner_bound(monkeypatch):
+    # ten times the kernel gives ten times W: -1.19 at the origin and 1.75 at
+    # |alpha| = 1 pass 2/pi, 2.6e-1 at 0.5 and 4e-5 at 3 do not
+    kernel = integrate._circle_kernel
+    monkeypatch.setattr(integrate, "_circle_kernel", lambda r, L, M: 10.0 * kernel(r, L, M))
+    message = r"\|W\| = 1\.19\d* exceeds the 2/pi bound at alpha = 0\+0j"
+    with pytest.raises(ValueError, match=message):
+        wigner_quadrature(np.array([3.0, 0.5, 0.0, 1.0]), FamilyParams(3, 1.5))
 
 
 def circulant(c):
@@ -338,6 +362,9 @@ def test_circle_kernel_equals_gather_oracle_bit_for_bit(L):
 def test_montecarlo_spec_validation():
     with pytest.raises(ValueError):
         MonteCarloSpec(samples=999)
+    # numpy's Philox would reject it only once the first batch is drawn
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        MonteCarloSpec(samples=2_000, seed=-1)
     spec = MonteCarloSpec(samples=100_000)
     assert sum(spec.batch_sizes()) == 100_000
 
@@ -440,9 +467,7 @@ def per_radius_reference(s, params, spec):
 
     means = np.array([scale * st[1].real / st[0] for st in stats])
     return WignerSample(
-        alpha=complex(s),
         value=scale * sum_w.real / n,
-        method="monte-carlo",
         standard_error=batch_se(means),
         mean_phase_magnitude=min(1.0, abs(sum_w) / sum_mag),
         effective_sample_size=sum_mag**2 / sum_mag2,
@@ -514,7 +539,6 @@ def test_montecarlo_scalar_call_is_one_point_array_call():
     for alpha in (0.0j, 1.7 - 0.4j, 3.3 + 0j):
         (single,) = wigner_montecarlo(np.array([alpha]), params, spec)
         assert wigner_montecarlo(alpha, params, spec) == single
-        assert single.alpha == alpha and single.method == "monte-carlo"
     # no points draws nothing and gives no samples
     assert wigner_montecarlo(np.array([]), params, spec) == []
 
@@ -550,6 +574,29 @@ def test_montecarlo_names_underflow_where_every_weight_is_zero():
         wigner_montecarlo(np.array([1.0, 30.0]), FamilyParams(1, 1.5), MonteCarloSpec(2_000))
     assert info.value.effective_sample_size == 0.0
     assert info.value.mean_phase_magnitude is None
+
+
+def test_montecarlo_underflowed_partition_sum_raises_sign_problem_error():
+    # ln Z < -709 at L = 649, N = 1.5: exp(-ln Z) overflows, and every weight
+    # has underflowed, which is the error named
+    params = FamilyParams(649, 1.5)
+    assert params.log_z < -709.0
+    with pytest.raises(SignProblemError, match=r"every weight exp\(-S\) of 2000 samples"):
+        wigner_montecarlo(0j, params, MonteCarloSpec(2_000))
+
+
+def test_montecarlo_names_the_point_of_a_non_finite_estimate(monkeypatch):
+    chunk_sums = integrate._mc_chunk_sums
+
+    def poisoned(*args, **kwargs):
+        sums, exps = chunk_sums(*args, **kwargs)
+        sums[:, 0, 1] = math.nan  # the sum of w at the second point
+        return sums, exps
+
+    monkeypatch.setattr(integrate, "_mc_chunk_sums", poisoned)
+    message = r"non-finite Monte Carlo Wigner value nan at alpha = 0\.8\+0j"
+    with pytest.raises(FloatingPointError, match=message):
+        wigner_montecarlo(np.array([0.0, 0.8, 1.6]), FamilyParams(2, 1.5), MonteCarloSpec(2_000))
 
 
 def test_montecarlo_radius_blocks_do_not_change_results(monkeypatch):

@@ -15,7 +15,6 @@ from wigpath.special import log_factorial
 from wigpath.states import (
     FamilyParams,
     QuadratureConvergenceError,
-    WignerSample,
     gaussian_convolve_p1,
     refine_by_doubling,
     wigner_number,
@@ -457,16 +456,3 @@ def test_marginals_match_hermite_densities():
             assert wigner_number_p_marginal(n, q) == pytest.approx(
                 hermite_density_oracle(n, q), abs=1e-6
             )
-
-
-def test_wigner_sample_bound_enforced_for_exact_tags():
-    with pytest.raises(ValueError):
-        WignerSample(alpha=0j, value=0.7, method="quadrature")
-    WignerSample(alpha=0j, value=5.0, method="saddle")  # asymptotic tags exempt
-    WignerSample(alpha=0j, value=0.7, method="monte-carlo")  # noise may cross the bound
-    with pytest.raises(ValueError):
-        WignerSample(alpha=0j, value=math.nan, method="monte-carlo")
-    with pytest.raises(ValueError):
-        WignerSample(alpha=0j, value=0.1, method="monte-carlo", standard_error=-1e-3)
-    with pytest.raises(ValueError):
-        WignerSample(alpha=0j, value=0.1, method="monte-carlo", mean_phase_magnitude=1.5)
