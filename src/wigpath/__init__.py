@@ -3,14 +3,6 @@ three independent ways -- exact closed forms, direct quadrature of the circle
 path integral, and saddle-point asymptotics -- with cross-validation tooling.
 """
 
-from .action import (
-    ActionValue,
-    CirclePath,
-    chord_midpoint,
-    end_action,
-    path_action,
-    total_action,
-)
 from .integrate import (
     BudgetError,
     MidpointGrid,
@@ -22,12 +14,6 @@ from .integrate import (
     smoothed_wigner_from_histogram,
     wigner_montecarlo,
     wigner_quadrature,
-)
-from .phase_space import (
-    coherent_overlap,
-    displaced_parity_element,
-    log_coherent_overlap,
-    log_displaced_parity_element,
 )
 from .saddle import (
     RegionError,
@@ -49,9 +35,7 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionValue",
     "BudgetError",
-    "CirclePath",
     "FamilyParams",
     "MidpointGrid",
     "MonteCarloSpec",
@@ -61,21 +45,13 @@ __all__ = [
     "SaddleSolution",
     "SignProblemError",
     "WignerSample",
-    "chord_midpoint",
-    "coherent_overlap",
-    "displaced_parity_element",
-    "end_action",
     "gaussian_convolve_p1",
     "hessian_log_det",
     "log_bessel_i0",
-    "log_coherent_overlap",
-    "log_displaced_parity_element",
     "log_factorial",
     "midpoint_histogram",
-    "path_action",
     "smoothed_wigner_from_histogram",
     "solve_saddle",
-    "total_action",
     "wigner_montecarlo",
     "wigner_number",
     "wigner_poisson",

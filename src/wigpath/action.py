@@ -1,4 +1,4 @@
-"""Geometric action of discretized phase-space paths.
+"""Geometric action of discretized phase-space paths on the circle.
 
 A path is an ordered list of complex vertices gamma_1 .. gamma_L with the
 periodic convention gamma_0 = gamma_L, so the path term contains the closing
@@ -19,93 +19,27 @@ alpha, and (in integrate) the chord midpoint r (e_1 + e_L)/2.
 `circle_phasors` gives the phasors and the alpha-free path terms;
 `circle_actions_batch` gives the totals at a 1-D array of radii |alpha|, one
 row per radius, each row bit-identical to the call at that radius alone.
+The tests check both against the action of generic vertices (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CirclePath:
-    """A path whose vertices sit on the circle of given radius."""
-
-    radius: float
-    angles: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if len(self.angles) < 1:
-            raise ValueError("a path needs at least one vertex")
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-
-    def vertices(self) -> np.ndarray:
-        return self.radius * np.exp(1j * np.asarray(self.angles))
-
-
-@dataclass(frozen=True)
-class ActionValue:
-    """Total geometric action with its audited decomposition."""
-
-    total: complex
-    re_internal_links: float
-    re_end_gap: float
-    im_area: float
-
-
-def _as_vertices(path) -> np.ndarray:
-    g = np.asarray(path, dtype=complex)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError("path must be a non-empty 1-D sequence of complex vertices")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("path vertices must be finite")
-    return g
-
-
-def path_action(path) -> complex:
-    """Closed-polygon (Bargmann) term: sum of half link lengths squared plus
-    i times the swept area, including the gamma_L -> gamma_1 closing link."""
-    g = _as_vertices(path)
-    prev = np.roll(g, 1)
-    d = g - prev
-    return complex(0.5 * (d.real**2 + d.imag**2).sum() + 1j * (g * prev.conj()).imag.sum())
-
-
-def end_action(path, alpha: complex) -> complex:
-    """Term tying the path ends to the evaluation point: 2 (alpha - gamma_L)(alpha* - gamma_1*)."""
-    g = _as_vertices(path)
-    return 2.0 * (alpha - g[-1]) * (alpha.conjugate() - g[0].conjugate())
-
-
-def chord_midpoint(path) -> complex:
-    """Mean of the path's end points; classifies which phase-space point the
-    path contributes to."""
-    g = _as_vertices(path)
-    return complex(0.5 * (g[0] + g[-1]))
-
-
-def total_action(path, alpha: complex) -> ActionValue:
-    g = _as_vertices(path)
-    total = path_action(g) + end_action(g, alpha)
-    d = g[1:] - g[:-1]
-    internal = float(0.5 * (d.real**2 + d.imag**2).sum())
-    gap = alpha - chord_midpoint(g)
-    end_gap = float(2.0 * (gap.real**2 + gap.imag**2))
-    return ActionValue(
-        total=total,
-        re_internal_links=internal,
-        re_end_gap=end_gap,
-        im_area=float(total.imag),
-    )
 
 
 def circle_phasors(thetas, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit phasors of a (batch, L) angle array, filled part by part with no
     complex temporary (equal to exp(1j*theta) bit for bit), and the path term
-    of each row, its links summed one column at a time."""
+    of each row, its links summed one column at a time.
+
+    The imaginary bits of a path term depend on the batch's row count, not on
+    how the rows are split: from 16,384 rows the conj temporary of the
+    closing link e_L conj(e_1) reaches numpy's 256 KiB temporary-elision
+    threshold, so numpy forms conj(e_1) e_L in place, and complex multiply
+    rounds the imaginary part differently in the two operand orders.  The
+    closing link of circle_actions_batch, last * first.conj(), does the same
+    from 16,384 samples.  So splitting or merging batches is a declared move
+    of the bits, even when the draws are identical."""
     th = np.asarray(thetas)
     if th.ndim != 2:
         raise ValueError("expected a (batch, L) angle array")

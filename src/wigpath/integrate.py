@@ -39,12 +39,18 @@ from functools import lru_cache, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .action import circle_actions_batch, circle_phasors
+from .action import circle_actions_batch
 from .states import _WIGNER_BOUND, FamilyParams, WignerSample, _finite, _points
 
 _IMAG_RESIDUE_TOL = 1e-10
 # (radius, sample) entries per block of the Monte Carlo temporaries
 _BLOCK_ENTRIES = 1_000_000
+# (sample, angle) entries per chunk of a midpoint-histogram batch
+_MIDPOINT_CHUNK_ENTRIES = 2**14
+# rows from which numpy evaluates a whole batch's closing link e_L * conj(e_1)
+# in its conj temporary, as conj(e_1) * e_L (temporary elision from 256 KiB);
+# the two operand orders round the imaginary part differently
+_ELIDED_ROWS = 2**14
 # (radius, angle) entries per block of the quadrature factors, of at least
 # 128 points (each block copies out all M^2 kernel entries), and kernel
 # entries per column block of the product
@@ -251,12 +257,16 @@ def wigner_quadrature(
     return results[0] if scalar else results
 
 
+def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """The generator of one Monte Carlo batch, the Philox stream of `seed`
+    jumped `batch_index` times: each batch is fixed by (seed, index) alone,
+    whatever thread draws it and in whatever order."""
+    return np.random.Generator(np.random.Philox(seed).jumped(batch_index))
+
+
 def _batch_angles(seed: int, batch_index: int, size: int, L: int) -> np.ndarray:
-    """The (size, L) uniform angles of one Monte Carlo batch, drawn from the
-    Philox stream of `seed` jumped `batch_index` times: each batch is fixed by
-    (seed, index) alone, whatever thread draws it and in whatever order."""
-    rng = np.random.Generator(np.random.Philox(seed).jumped(batch_index))
-    return rng.uniform(0.0, 2.0 * math.pi, (size, L))
+    """The (size, L) uniform angles of one Monte Carlo batch."""
+    return _batch_rng(seed, batch_index).uniform(0.0, 2.0 * math.pi, (size, L))
 
 
 def _radii_per_block(size: int, radii: int) -> int:
@@ -441,6 +451,14 @@ def midpoint_histogram(
     spec.workers is ignored: the bin sums depend on the order of the
     additions.  A warning counts the empty bins centred inside the circle,
     which an adequate sample reaches (none at L = 1).
+
+    Each batch is drawn, summed and binned in chunks of 2^14 (sample, angle)
+    entries, so the memory is one chunk's arrays (a traced peak of 1.2 MB at
+    L = 3), whatever the batch size.  The bin sums are those of the
+    whole-batch loop (circle_phasors and an np.add.at scatter per batch) bit
+    for bit: a chunk's draws continue its batch's stream, its closing link
+    takes the batch's operand order, and each bin adds the same weights in
+    the same order.
     """
     if grid.half_width < params.radius + 3.0 - 1e-12:
         raise ValueError(
@@ -451,18 +469,33 @@ def midpoint_histogram(
     # point of the circle, so no bin can be counted on to receive a sample
     c = grid.centers()
     inside = (c[:, None] ** 2 + c[None, :] ** 2 < r * r) & (params.L > 1)
-    cells = grid.bins * grid.bins
+    cells, L = grid.bins * grid.bins, params.L
     hist = np.zeros(cells, dtype=complex)
+    rows = max(1, _MIDPOINT_CHUNK_ENTRIES // L)
     for b, size in enumerate(spec.batch_sizes()):
-        e, path_terms = circle_phasors(_batch_angles(spec.seed, b, size, params.L), r)
-        mid = 0.5 * r * (e[:, 0] + e[:, -1])
-        cell = grid.index(mid.real) * grid.bins + grid.index(mid.imag)
-        cell = np.concatenate((np.arange(cells), cell))
-        w = np.exp(np.negative(path_terms, out=path_terms), out=path_terms)
-        # each bin starts from its running sum and adds the batch's samples in
-        # sample order: the same additions as an np.add.at scatter
-        hist.real = np.bincount(cell, np.concatenate((hist.real, w.real)), cells)
-        hist.imag = np.bincount(cell, np.concatenate((hist.imag, w.imag)), cells)
+        rng = _batch_rng(spec.seed, b)
+        for lo in range(0, size, rows):
+            # successive draws continue the batch's stream: the batch's angles,
+            # and their unit phasors, equal to circle_phasors' bit for bit
+            e = 1j * rng.uniform(0.0, 2.0 * math.pi, (min(rows, size - lo), L))
+            np.exp(e, out=e)
+            # the closing link in the operand order of a whole-batch call
+            first, last = np.conjugate(e[:, 0]), e[:, -1]
+            pair = (first, last) if size >= _ELIDED_ROWS else (last, first)
+            links = np.multiply(*pair, out=first)
+            step = np.empty_like(links)
+            for l in range(1, L):
+                links += np.multiply(e[:, l - 1], np.conjugate(e[:, l], out=step), out=step)
+            links *= r * r
+            # exp(-(L r^2 - links)): negating a difference is exact
+            w = np.exp(np.subtract(links, L * r * r, out=links), out=links)
+            mid = 0.5 * r * (e[:, 0] + e[:, -1])
+            cell = grid.index(mid.real) * grid.bins + grid.index(mid.imag)
+            cell = np.concatenate((np.arange(cells), cell))
+            # each bin starts from its running sum and adds the chunk's samples
+            # in sample order: the same additions as an np.add.at scatter
+            hist.real = np.bincount(cell, np.concatenate((hist.real, w.real)), cells)
+            hist.imag = np.bincount(cell, np.concatenate((hist.imag, w.imag)), cells)
     hist = hist.reshape(grid.bins, grid.bins)
     empty = np.count_nonzero((hist == 0) & inside)
     if empty:

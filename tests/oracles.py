@@ -2,7 +2,9 @@
 the library's code, so a test that compares against them checks the library
 and not itself."""
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,3 +87,116 @@ def dense_wigner(alpha: complex, rho: np.ndarray) -> float:
     d = ((v * np.exp(-1j * lam)) @ v.conj().T)[: rho.shape[0]]
     parity = (-1.0) ** np.arange(dim)
     return 2.0 / math.pi * float((((rho @ d) * d.conj()).sum(axis=0) @ parity).real)
+
+
+# Generic path action: the reference for the batched circle forms of
+# wigpath.action.  A path is a 1-D sequence of complex vertices gamma_1 ..
+# gamma_L with gamma_0 = gamma_L, so the path term contains the closing link.
+
+
+@dataclass(frozen=True)
+class CirclePath:
+    """A path whose vertices sit on the circle of given radius."""
+
+    radius: float
+    angles: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError("radius must be positive")
+        if len(self.angles) < 1:
+            raise ValueError("a path needs at least one vertex")
+        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
+
+    def vertices(self) -> np.ndarray:
+        return self.radius * np.exp(1j * np.asarray(self.angles))
+
+
+@dataclass(frozen=True)
+class ActionValue:
+    """Total geometric action with its audited decomposition."""
+
+    total: complex
+    re_internal_links: float
+    re_end_gap: float
+    im_area: float
+
+
+def _as_vertices(path) -> np.ndarray:
+    g = np.asarray(path, dtype=complex)
+    if g.ndim != 1 or g.size < 1:
+        raise ValueError("path must be a non-empty 1-D sequence of complex vertices")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("path vertices must be finite")
+    return g
+
+
+def path_action(path) -> complex:
+    """Closed-polygon (Bargmann) term: sum of half link lengths squared plus
+    i times the swept area, including the gamma_L -> gamma_1 closing link."""
+    g = _as_vertices(path)
+    prev = np.roll(g, 1)
+    d = g - prev
+    return complex(0.5 * (d.real**2 + d.imag**2).sum() + 1j * (g * prev.conj()).imag.sum())
+
+
+def end_action(path, alpha: complex) -> complex:
+    """Term tying the path ends to the evaluation point: 2 (alpha - gamma_L)(alpha* - gamma_1*)."""
+    g = _as_vertices(path)
+    return 2.0 * (alpha - g[-1]) * (alpha.conjugate() - g[0].conjugate())
+
+
+def chord_midpoint(path) -> complex:
+    """Mean of the path's end points; classifies which phase-space point the
+    path contributes to."""
+    g = _as_vertices(path)
+    return complex(0.5 * (g[0] + g[-1]))
+
+
+def total_action(path, alpha: complex) -> ActionValue:
+    g = _as_vertices(path)
+    total = path_action(g) + end_action(g, alpha)
+    d = g[1:] - g[:-1]
+    internal = float(0.5 * (d.real**2 + d.imag**2).sum())
+    gap = alpha - chord_midpoint(g)
+    end_gap = float(2.0 * (gap.real**2 + gap.imag**2))
+    return ActionValue(
+        total=total,
+        re_internal_links=internal,
+        re_end_gap=end_gap,
+        im_area=float(total.imag),
+    )
+
+
+# Phase-space primitives: coherent overlaps and the displaced parity, directly
+# and as complex logarithms (real part = log magnitude, imaginary part = phase).
+
+
+def log_coherent_overlap(beta: complex, gamma: complex) -> complex:
+    """Complex log of <beta|gamma> for normalized minimum-uncertainty states."""
+    return (
+        -0.5 * (beta.real**2 + beta.imag**2)
+        - 0.5 * (gamma.real**2 + gamma.imag**2)
+        + beta.conjugate() * gamma
+    )
+
+
+def coherent_overlap(beta: complex, gamma: complex) -> complex:
+    """<beta|gamma> = exp(-|beta|^2/2 - |gamma|^2/2 + beta* gamma); |result| <= 1."""
+    return cmath.exp(log_coherent_overlap(beta, gamma))
+
+
+def log_displaced_parity_element(alpha: complex, beta: complex, gamma: complex) -> complex:
+    """Complex log of <beta| (pi/2) delta_2(alpha - a) |gamma>.
+
+    delta_2 is the symmetrically ordered two-dimensional delta operator whose
+    expectation value is the Wigner function; it acts as a parity operator
+    displaced to the point alpha.
+    """
+    return -2.0 * (alpha - gamma) * (alpha.conjugate() - beta.conjugate()) + log_coherent_overlap(
+        beta, gamma
+    )
+
+
+def displaced_parity_element(alpha: complex, beta: complex, gamma: complex) -> complex:
+    return cmath.exp(log_displaced_parity_element(alpha, beta, gamma))

@@ -6,16 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from wigpath.action import (
+from oracles import (
     CirclePath,
     chord_midpoint,
-    circle_actions_batch,
-    circle_phasors,
+    coherent_overlap,
     end_action,
     path_action,
     total_action,
 )
-from wigpath.phase_space import coherent_overlap
+from wigpath.action import circle_actions_batch, circle_phasors
 
 
 def circle_action(path: CirclePath, alpha: complex, phi: float | None = None) -> complex:

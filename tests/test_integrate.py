@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from wigpath import integrate
-from wigpath.action import CirclePath, circle_actions_batch, circle_phasors, total_action
+from oracles import CirclePath, total_action
+from wigpath.action import circle_actions_batch, circle_phasors
 from wigpath.integrate import (
     BudgetError,
     MidpointGrid,
@@ -734,11 +735,15 @@ def dense_smoothing(hist, grid, params, samples):
 
 @pytest.mark.parametrize("L", [1, 3])
 def test_midpoint_histogram_equals_reference_loop(L):
+    # four batches of 6,000 and 2,000; then batches on both sides of the
+    # 16,384 rows from which numpy forms a whole batch's closing link in the
+    # other operand order, each schedule ending in a short batch
     params = FamilyParams(L, 1.5)
-    spec = MonteCarloSpec(samples=20_000, seed=9, batch_size=6_000)  # four batches
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=32)
-    hist = midpoint_histogram(params, spec, grid)
-    assert np.array_equal(hist, reference_midpoint_histogram(params, spec, grid))
+    for samples, batch_size in [(20_000, 6_000), (40_000, 16_383), (40_000, 16_384)]:
+        spec = MonteCarloSpec(samples=samples, seed=9, batch_size=batch_size)
+        hist = midpoint_histogram(params, spec, grid)
+        assert np.array_equal(hist, reference_midpoint_histogram(params, spec, grid))
 
 
 @pytest.mark.parametrize("bins", [16, 64])
@@ -849,13 +854,15 @@ def test_quadrature_call_allocates_no_kernel_sized_array():
 
 
 def test_midpoint_histogram_memory_of_one_batch():
-    # one full batch at the benchmark's midpoint-map batch size (2e6 samples
-    # / 64), then a batch of one sample
+    # batches of the benchmark's midpoint-map size (2e6 samples / 64): one
+    # full batch and a batch of one sample, then two full batches.  Each
+    # batch is drawn and binned in chunks of 2^14 (sample, angle) entries
+    # (measured 1.2 MB); two whole batches held at once took 6.1 MB
     params = FamilyParams(3, 1.5)
-    spec = MonteCarloSpec(samples=31_251, seed=1, batch_size=31_250)
     grid = MidpointGrid(half_width=math.sqrt(1.5) + 3.0, bins=64)
-    peak = traced_peak(lambda: midpoint_histogram(params, spec, grid))
-    assert peak <= 4_570_000
+    for samples in (31_251, 62_500):
+        spec = MonteCarloSpec(samples=samples, seed=1, batch_size=31_250)
+        assert traced_peak(lambda: midpoint_histogram(params, spec, grid)) <= 2_000_000
 
 
 def test_midpoint_histogram_correlates_with_exact_wigner():

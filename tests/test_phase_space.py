@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wigpath.phase_space import (
+from oracles import (
     coherent_overlap,
     displaced_parity_element,
     log_coherent_overlap,
