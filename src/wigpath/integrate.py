@@ -491,11 +491,9 @@ def midpoint_histogram(
             w = np.exp(np.subtract(links, L * r * r, out=links), out=links)
             mid = 0.5 * r * (e[:, 0] + e[:, -1])
             cell = grid.index(mid.real) * grid.bins + grid.index(mid.imag)
-            cell = np.concatenate((np.arange(cells), cell))
-            # each bin starts from its running sum and adds the chunk's samples
-            # in sample order: the same additions as an np.add.at scatter
-            hist.real = np.bincount(cell, np.concatenate((hist.real, w.real)), cells)
-            hist.imag = np.bincount(cell, np.concatenate((hist.imag, w.imag)), cells)
+            # each bin adds the chunk's samples to its running sum in sample order
+            np.add.at(hist.real, cell, w.real)
+            np.add.at(hist.imag, cell, w.imag)
     hist = hist.reshape(grid.bins, grid.bins)
     empty = np.count_nonzero((hist == 0) & inside)
     if empty:
